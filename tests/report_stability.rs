@@ -5,12 +5,13 @@
 //!   orders results by seed and every random draw comes from per-seed
 //!   (and, within a run, per-failure-class) RNG streams, so worker count
 //!   can never leak into results.
-//! * **Golden files** — the rendered text/CSV/JSON `Report` output of two
-//!   checked-in `scenarios/` presets is itself checked in under
-//!   `tests/golden/` and compared byte for byte, so format drift (added
-//!   columns, reordered sections, float-precision changes) is caught in
-//!   review instead of silently shipped. After an *intentional* format
-//!   change, refresh with:
+//! * **Golden files** — the rendered text/CSV/JSON `Report` output of
+//!   four checked-in `scenarios/` presets, plus one tiny sweep per sweep
+//!   axis, is itself checked in under `tests/golden/` and compared byte
+//!   for byte, so format drift (added columns, reordered sections,
+//!   float-precision changes) and result drift are caught in review
+//!   instead of silently shipped. After an *intentional* change, refresh
+//!   with:
 //!
 //!   ```sh
 //!   COOPCKPT_BLESS=1 cargo test --test report_stability
@@ -92,7 +93,11 @@ fn campaign_pool_never_changes_the_report_either() {
 /// rendered report against its golden files.
 fn check_golden(preset: &str) {
     let sc = Scenario::load(preset_path(preset)).expect("preset loads");
-    let report = run_scenario(&sc).expect("preset runs");
+    check_report_golden(preset, &run_scenario(&sc).expect("preset runs"));
+}
+
+/// Compares (or blesses) `report` against `tests/golden/<name>.{txt,csv,json}`.
+fn check_report_golden(name: &str, report: &Report) {
     let dir = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/golden");
     let bless = std::env::var("COOPCKPT_BLESS").is_ok_and(|v| !v.is_empty() && v != "0");
     for (ext, rendered) in [
@@ -100,7 +105,7 @@ fn check_golden(preset: &str) {
         ("csv", report.to_csv()),
         ("json", report.to_json().pretty() + "\n"),
     ] {
-        let path = dir.join(format!("{preset}.{ext}"));
+        let path = dir.join(format!("{name}.{ext}"));
         if bless {
             std::fs::create_dir_all(&dir).expect("golden dir");
             std::fs::write(&path, &rendered).expect("write golden");
@@ -115,10 +120,29 @@ fn check_golden(preset: &str) {
         });
         assert_eq!(
             rendered, expected,
-            "{preset}.{ext} drifted from its golden file — if the format \
+            "{name}.{ext} drifted from its golden file — if the format \
              change is intentional, re-bless with COOPCKPT_BLESS=1"
         );
     }
+}
+
+/// A tiny sweep on the 3-tier Cielo stack at 40 GB/s: 1-day span, two
+/// samples, two swept values. Pinned as `tests/golden/sweep_<axis>.*`.
+fn check_tiny_sweep_golden(axis: &str, values: &str) {
+    let sc = Scenario::parse(&format!(
+        r#"{{
+            "name": "sweep-{axis}",
+            "platform": {{"preset": "cielo", "bandwidth_gbps": 40}},
+            "tiers": 3,
+            "span_days": 1,
+            "samples": 2,
+            "seed": 1,
+            "sweep": {{"axis": "{axis}", "values": [{values}]}}
+        }}"#
+    ))
+    .expect("sweep scenario parses");
+    let report = run_scenario(&sc).expect("sweep runs");
+    check_report_golden(&format!("sweep_{}", axis.replace('-', "_")), &report);
 }
 
 /// Campaign-level queue differential (the `heap-oracle` CI lane): the
@@ -174,4 +198,39 @@ fn golden_report_custom_lab() {
 #[test]
 fn golden_report_multilevel_recovery() {
     check_golden("multilevel_recovery");
+}
+
+#[test]
+fn golden_sweep_bandwidth_apex_workload() {
+    check_golden("apex_workload");
+}
+
+#[test]
+fn golden_sweep_ckpt_mem_fraction() {
+    check_golden("ckpt_mem_fraction");
+}
+
+#[test]
+fn golden_sweep_mtbf() {
+    check_tiny_sweep_golden("mtbf", "2, 20");
+}
+
+#[test]
+fn golden_sweep_tiers() {
+    check_tiny_sweep_golden("tiers", "0, 2");
+}
+
+#[test]
+fn golden_sweep_weibull_shape() {
+    check_tiny_sweep_golden("weibull-shape", "0.7, 1.5");
+}
+
+#[test]
+fn golden_sweep_power_ratio() {
+    check_tiny_sweep_golden("power-ratio", "0.5, 2");
+}
+
+#[test]
+fn golden_sweep_local_failure_share() {
+    check_tiny_sweep_golden("local-failure-share", "0, 0.9");
 }
