@@ -37,10 +37,8 @@ fn main() {
     let mut scenario = cielo_scenario(40.0, &scale)
         .with_name("ablation-energy")
         .with_power(PowerModel::cielo());
-    scenario.sweep = Some(Sweep {
-        axis: SweepAxis::PowerRatio,
-        values: vec![0.25, 0.5, 1.0, 2.0, 4.0],
-    });
+    scenario.sweep =
+        Some(Sweep::new("power-ratio", Some(vec![0.25, 0.5, 1.0, 2.0, 4.0])).expect("valid sweep"));
     let report = run_scenario(&scenario).expect("bench scenario is valid");
     emit_report(&report);
 

@@ -35,10 +35,8 @@ fn main() {
     );
 
     let mut scenario = cielo_scenario(40.0, &scale).with_name("ablation-multilevel");
-    scenario.sweep = Some(Sweep {
-        axis: SweepAxis::Tiers,
-        values: vec![0.0, 1.0, 2.0, 3.0],
-    });
+    scenario.sweep =
+        Some(Sweep::new("tiers", Some(vec![0.0, 1.0, 2.0, 3.0])).expect("valid sweep"));
     let report = run_scenario(&scenario).expect("bench scenario is valid");
     emit_report(&report);
 

@@ -40,10 +40,10 @@ fn main() {
     let mut scenario = cielo_scenario(40.0, &scale)
         .with_name("ablation-recovery")
         .with_tier_depth(3);
-    scenario.sweep = Some(Sweep {
-        axis: SweepAxis::LocalFailureShare,
-        values: vec![0.0, 0.25, 0.5, 0.75, 0.9],
-    });
+    scenario.sweep = Some(
+        Sweep::new("local-failure-share", Some(vec![0.0, 0.25, 0.5, 0.75, 0.9]))
+            .expect("valid sweep"),
+    );
     let report = run_scenario(&scenario).expect("bench scenario is valid");
     emit_report(&report);
 

@@ -6,7 +6,7 @@
 //! COOPCKPT_SAMPLES=1000 cargo run --release -p coopckpt-bench --bin fig1 [-- --csv fig1.csv]
 //! ```
 
-use coopckpt::experiments::waste_vs_bandwidth;
+use coopckpt::experiments::run_scenario;
 use coopckpt::prelude::*;
 use coopckpt_bench::{banner, emit, sweep_table, BenchScale};
 
@@ -17,11 +17,10 @@ fn main() {
         &scale,
     );
 
-    let platform = coopckpt_workload::cielo(); // node MTBF = 2 years
-    let classes = coopckpt_workload::classes_for(&platform);
-    let template = SimConfig::new(platform, classes, Strategy::least_waste()).with_span(scale.span);
-
-    let bandwidths = [40.0, 60.0, 80.0, 100.0, 120.0, 140.0, 160.0];
-    let points = waste_vs_bandwidth(&template, &bandwidths, &Strategy::all_seven(), &scale.mc());
-    emit(&sweep_table("bandwidth_gbps", &points));
+    // The Cielo preset (node MTBF = 2 years), its bandwidth swept.
+    let mut scenario = scale.apply(Scenario::default());
+    let bandwidths = vec![40.0, 60.0, 80.0, 100.0, 120.0, 140.0, 160.0];
+    scenario.sweep = Some(Sweep::new("bandwidth", Some(bandwidths)).expect("valid sweep"));
+    let report = run_scenario(&scenario).expect("bench scenario is valid");
+    emit(&sweep_table("bandwidth_gbps", &report));
 }

@@ -6,9 +6,9 @@
 //! COOPCKPT_SAMPLES=1000 cargo run --release -p coopckpt-bench --bin fig2 [-- --csv fig2.csv]
 //! ```
 
-use coopckpt::experiments::waste_vs_mtbf;
+use coopckpt::experiments::run_scenario;
 use coopckpt::prelude::*;
-use coopckpt_bench::{banner, emit, sweep_table, BenchScale};
+use coopckpt_bench::{banner, cielo_scenario, emit, sweep_table, BenchScale};
 
 fn main() {
     let scale = BenchScale::from_env();
@@ -17,11 +17,9 @@ fn main() {
         &scale,
     );
 
-    let platform = coopckpt_workload::cielo().with_bandwidth(Bandwidth::from_gbps(40.0));
-    let classes = coopckpt_workload::classes_for(&platform);
-    let template = SimConfig::new(platform, classes, Strategy::least_waste()).with_span(scale.span);
-
-    let mtbf_years = [2.0, 4.0, 7.0, 10.0, 20.0, 35.0, 50.0];
-    let points = waste_vs_mtbf(&template, &mtbf_years, &Strategy::all_seven(), &scale.mc());
-    emit(&sweep_table("node_mtbf_years", &points));
+    let mut scenario = cielo_scenario(40.0, &scale);
+    let mtbf_years = vec![2.0, 4.0, 7.0, 10.0, 20.0, 35.0, 50.0];
+    scenario.sweep = Some(Sweep::new("mtbf", Some(mtbf_years)).expect("valid sweep"));
+    let report = run_scenario(&scenario).expect("bench scenario is valid");
+    emit(&sweep_table("node_mtbf_years", &report));
 }

@@ -12,7 +12,6 @@
 //! Results are printed as an aligned table and, when `--csv <path>` is
 //! passed, also written as CSV for plotting.
 
-use coopckpt::experiments::SweepPoint;
 use coopckpt::prelude::*;
 use coopckpt_stats::Table;
 
@@ -73,24 +72,23 @@ fn env_parse<T: std::str::FromStr + Copy>(key: &str, default: T) -> T {
         .unwrap_or(default)
 }
 
-/// Renders sweep points as the paper's figure data: one row per
+/// Renders a sweep report as the paper's figure data: one row per
 /// `(x, series)` with candlestick columns.
-pub fn sweep_table(x_label: &str, points: &[SweepPoint]) -> Table {
+pub fn sweep_table(x_label: &str, report: &Report) -> Table {
     let mut t = Table::new([
         x_label, "series", "mean", "d1", "q1", "median", "q3", "d9", "n",
     ]);
-    for p in points {
-        t.row([
-            format!("{}", p.x),
-            p.series.clone(),
-            format!("{:.4}", p.stats.mean),
-            format!("{:.4}", p.stats.d1),
-            format!("{:.4}", p.stats.q1),
-            format!("{:.4}", p.stats.median),
-            format!("{:.4}", p.stats.q3),
-            format!("{:.4}", p.stats.d9),
-            format!("{}", p.stats.n),
-        ]);
+    let sweep = report
+        .sections
+        .iter()
+        .find(|s| s.name == "sweep")
+        .expect("sweep reports carry a sweep section");
+    for row in &sweep.rows {
+        t.row(row.iter().enumerate().map(|(i, cell)| match (i, cell) {
+            // The swept value at full precision (`40`, `2.5`).
+            (0, Cell::Float { value, .. }) => format!("{value}"),
+            (_, cell) => cell.display(),
+        }));
     }
     t
 }
@@ -156,7 +154,6 @@ pub fn banner(what: &str, scale: &BenchScale) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use coopckpt_stats::Candlestick;
 
     #[test]
     fn mc_carries_scale() {
@@ -188,15 +185,27 @@ mod tests {
 
     #[test]
     fn sweep_table_layout() {
-        let pts = vec![SweepPoint {
-            x: 40.0,
-            series: "Least-Waste".into(),
-            stats: Candlestick::from_samples(&[0.2, 0.3, 0.4]),
-        }];
-        let t = sweep_table("bandwidth_gbps", &pts);
+        use coopckpt::report::{candlestick_cells, CANDLESTICK_COLUMNS};
+        let stats = Candlestick::from_samples(&[0.2, 0.3, 0.4]);
+        let mut report = Report::new("sweep", None);
+        let section = report.section(
+            "sweep",
+            ["bandwidth", "series"]
+                .into_iter()
+                .chain(CANDLESTICK_COLUMNS),
+        );
+        for x in [40.0, 2.5] {
+            section.row(
+                [Cell::float(x, 2), Cell::text("Least-Waste")]
+                    .into_iter()
+                    .chain(candlestick_cells(&stats)),
+            );
+        }
+        let t = sweep_table("bandwidth_gbps", &report);
         let text = t.to_text();
         assert!(text.contains("Least-Waste"));
         assert!(text.contains("bandwidth_gbps"));
-        assert_eq!(t.len(), 1);
+        assert!(text.contains("\n40 ") && text.contains("\n2.5 "), "{text}");
+        assert_eq!(t.len(), 2);
     }
 }

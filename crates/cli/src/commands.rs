@@ -499,12 +499,7 @@ fn scenario_from(args: &Args) -> Result<Scenario, Box<dyn std::error::Error>> {
         sc.tiers = TiersSpec::Geometric(depth);
     }
     if let Some(raw) = args.get("workload") {
-        sc.workload = match raw {
-            "apex" => WorkloadSource::Apex,
-            // Anything else is a trace spec: a job-log path or a
-            // `synthetic:...` generator spec (validated at compile time).
-            spec => WorkloadSource::Trace(spec.to_string()),
-        };
+        sc.workload = WorkloadSource::from_spec(raw);
     }
     if let Some(raw) = args.get("failure-classes") {
         sc.failure_classes = parse_failure_classes(raw)?;
@@ -672,27 +667,16 @@ pub fn run(args: &Args) -> CmdResult {
 /// `coopckpt sweep`
 pub fn sweep(args: &Args) -> CmdResult {
     let mut sc = scenario_from(args)?;
-    if let Some(raw) = args.get("axis") {
-        let axis: SweepAxis = raw.parse()?;
-        match &mut sc.sweep {
-            Some(sweep) if sweep.axis == axis => {}
-            slot => {
-                *slot = Some(Sweep {
-                    axis,
-                    values: axis.default_values(),
-                })
-            }
-        }
-    }
-    if sc.sweep.is_none() {
-        sc.sweep = Some(Sweep {
-            axis: SweepAxis::Bandwidth,
-            values: SweepAxis::Bandwidth.default_values(),
-        });
-    }
-    if let Some(values) = args.get_f64_list("values")? {
-        sc.sweep.as_mut().expect("ensured above").values = values;
-    }
+    // `--axis` keeps the file's values when the file sweeps that axis.
+    let axis = args
+        .get("axis")
+        .or(sc.sweep.as_ref().map(Sweep::name))
+        .unwrap_or("bandwidth");
+    let file_values = sc.sweep.take().filter(|s| s.name() == axis);
+    let values = args
+        .get_f64_list("values")?
+        .or(file_values.map(|s| s.values));
+    sc.sweep = Some(Sweep::new(axis, values)?);
     let report = run_scenario(&sc)?;
     emit(&report, args)
 }
@@ -1063,8 +1047,7 @@ mod tests {
             "local-failure-share",
             "ckpt-mem-fraction",
         ] {
-            let parsed: SweepAxis = axis.parse().unwrap();
-            assert_eq!(parsed.as_str(), axis);
+            assert_eq!(Sweep::new(axis, None).unwrap().name(), axis);
         }
         assert!(known_flags("sweep").contains(&"power"));
         assert!(known_flags("run").contains(&"power"));

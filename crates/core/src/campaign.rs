@@ -40,17 +40,16 @@
 //! [`compare_campaigns`] diffs two campaign (or single-report) JSON
 //! documents and highlights metric drift beyond a relative tolerance.
 
-use crate::experiments::{local_failure_mix, run_scenario_with_cache};
+use crate::axis::{grid_axis, Axis, AxisValue};
+use crate::experiments::run_scenario_with_cache;
 use crate::json::{Json, JsonError};
-use crate::montecarlo::OpPointCache;
+use crate::montecarlo::{run_points, OpPointCache};
 use crate::report::{Cell, OutputFormat, Report};
-use crate::scenario::{Scenario, ScenarioError, WorkloadSource, MAX_TIER_DEPTH};
-use crate::strategy::Strategy;
+use crate::scenario::{Scenario, ScenarioError};
 use parking_lot::Mutex;
 use std::collections::HashSet;
 use std::fmt;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 /// Errors raised while loading, expanding, running or comparing a
@@ -136,220 +135,9 @@ impl From<JsonError> for CampaignError {
     }
 }
 
-/// One axis of a suite's cartesian grid: the field it varies and the
-/// values it takes (in document order).
-#[derive(Debug, Clone, PartialEq)]
-pub enum GridAxis {
-    /// Strategy spec names (the `--strategy` grammar).
-    Strategy(Vec<Strategy>),
-    /// Aggregate PFS bandwidth in GB/s.
-    BandwidthGbps(Vec<f64>),
-    /// Node MTBF in years.
-    MtbfYears(Vec<f64>),
-    /// Geometric storage-hierarchy depth (0 = the paper's PFS-only
-    /// platform).
-    Tiers(Vec<usize>),
-    /// Simulated span per instance, in days.
-    SpanDays(Vec<f64>),
-    /// Monte-Carlo instances per point.
-    Samples(Vec<usize>),
-    /// Base seed.
-    Seed(Vec<u64>),
-    /// Share of node-local failures, installed per point as the
-    /// `{local: x, system: 1 - x}` two-class mix (the paper's class-mix
-    /// axis; `0` is the single-class model).
-    LocalFailureShare(Vec<f64>),
-    /// Workload sources: `"apex"`, or a trace path / `synthetic:...`
-    /// generator spec (the scenario `workload.trace` grammar).
-    Workload(Vec<String>),
-}
-
-/// The accepted `grid` keys, for error messages.
-const GRID_KEYS: &str =
-    "strategy|bandwidth_gbps|mtbf_years|tiers|span_days|samples|seed|local_failure_share|workload";
-
-impl GridAxis {
-    /// The axis's JSON key (and auto-name label).
-    pub fn key(&self) -> &'static str {
-        match self {
-            GridAxis::Strategy(_) => "strategy",
-            GridAxis::BandwidthGbps(_) => "bandwidth_gbps",
-            GridAxis::MtbfYears(_) => "mtbf_years",
-            GridAxis::Tiers(_) => "tiers",
-            GridAxis::SpanDays(_) => "span_days",
-            GridAxis::Samples(_) => "samples",
-            GridAxis::Seed(_) => "seed",
-            GridAxis::LocalFailureShare(_) => "local_failure_share",
-            GridAxis::Workload(_) => "workload",
-        }
-    }
-
-    /// Number of values on the axis.
-    pub fn len(&self) -> usize {
-        match self {
-            GridAxis::Strategy(v) => v.len(),
-            GridAxis::BandwidthGbps(v) | GridAxis::MtbfYears(v) => v.len(),
-            GridAxis::SpanDays(v) | GridAxis::LocalFailureShare(v) => v.len(),
-            GridAxis::Tiers(v) | GridAxis::Samples(v) => v.len(),
-            GridAxis::Seed(v) => v.len(),
-            GridAxis::Workload(v) => v.len(),
-        }
-    }
-
-    /// True when the axis has no values (rejected at parse time, so only
-    /// hand-built suites can hit this).
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// The display label of value `i`, used in auto-generated point names
-    /// (`f64` values use Rust's shortest round-trip formatting, so `40.0`
-    /// labels as `40`).
-    fn label(&self, i: usize) -> String {
-        match self {
-            GridAxis::Strategy(v) => v[i].spec_name(),
-            GridAxis::BandwidthGbps(v) | GridAxis::MtbfYears(v) => format!("{}", v[i]),
-            GridAxis::SpanDays(v) | GridAxis::LocalFailureShare(v) => format!("{}", v[i]),
-            GridAxis::Tiers(v) | GridAxis::Samples(v) => format!("{}", v[i]),
-            GridAxis::Seed(v) => format!("{}", v[i]),
-            GridAxis::Workload(v) => v[i].clone(),
-        }
-    }
-
-    /// Applies value `i` to a scenario.
-    fn apply(&self, sc: Scenario, i: usize) -> Scenario {
-        match self {
-            GridAxis::Strategy(v) => sc.with_strategy(v[i]),
-            GridAxis::BandwidthGbps(v) => sc.with_bandwidth_gbps(v[i]),
-            GridAxis::MtbfYears(v) => sc.with_mtbf_years(v[i]),
-            GridAxis::Tiers(v) => sc.with_tier_depth(v[i]),
-            GridAxis::SpanDays(v) => sc.with_span(coopckpt_des::Duration::from_days(v[i])),
-            GridAxis::Samples(v) => {
-                let seed = sc.seed;
-                sc.with_sampling(v[i], seed)
-            }
-            GridAxis::Seed(v) => {
-                let samples = sc.samples;
-                sc.with_sampling(samples, v[i])
-            }
-            GridAxis::LocalFailureShare(v) => sc.with_failure_classes(local_failure_mix(v[i])),
-            GridAxis::Workload(v) => {
-                let mut sc = sc;
-                sc.workload = match v[i].as_str() {
-                    "apex" => WorkloadSource::Apex,
-                    spec => WorkloadSource::Trace(spec.to_string()),
-                };
-                sc
-            }
-        }
-    }
-
-    /// Parses one `grid` entry.
-    fn from_json(key: &str, v: &Json) -> Result<GridAxis, CampaignError> {
-        let field = format!("grid.{key}");
-        let values = v
-            .as_array()
-            .ok_or_else(|| CampaignError::invalid(&field, "expected an array of values"))?;
-        if values.is_empty() {
-            return Err(CampaignError::invalid(&field, "axis must list values"));
-        }
-        let floats =
-            |pred: fn(f64) -> bool, what: &'static str| -> Result<Vec<f64>, CampaignError> {
-                values
-                    .iter()
-                    .map(|v| {
-                        v.as_f64()
-                            .filter(|&x| x.is_finite() && pred(x))
-                            .ok_or_else(|| CampaignError::invalid(&field, what))
-                    })
-                    .collect()
-            };
-        let ints = |what: &'static str| -> Result<Vec<u64>, CampaignError> {
-            values
-                .iter()
-                .map(|v| {
-                    v.as_u64()
-                        .ok_or_else(|| CampaignError::invalid(&field, what))
-                })
-                .collect()
-        };
-        match key {
-            "strategy" => values
-                .iter()
-                .map(|v| {
-                    v.as_str()
-                        .ok_or_else(|| {
-                            CampaignError::invalid(&field, "expected strategy spec names")
-                        })?
-                        .parse::<Strategy>()
-                        .map_err(|e| CampaignError::invalid(&field, e))
-                })
-                .collect::<Result<Vec<Strategy>, CampaignError>>()
-                .map(GridAxis::Strategy),
-            "bandwidth_gbps" => Ok(GridAxis::BandwidthGbps(floats(
-                |x| x > 0.0,
-                "bandwidths must be positive numbers (GB/s)",
-            )?)),
-            "mtbf_years" => Ok(GridAxis::MtbfYears(floats(
-                |x| x > 0.0,
-                "MTBFs must be positive numbers (years)",
-            )?)),
-            "span_days" => Ok(GridAxis::SpanDays(floats(
-                |x| x > 0.0,
-                "spans must be positive numbers (days)",
-            )?)),
-            "local_failure_share" => Ok(GridAxis::LocalFailureShare(floats(
-                |x| (0.0..=1.0).contains(&x),
-                "shares must be numbers in [0, 1]",
-            )?)),
-            "tiers" => {
-                let counts = ints("tier depths must be non-negative integers")?;
-                if let Some(&bad) = counts.iter().find(|&&k| k > MAX_TIER_DEPTH as u64) {
-                    return Err(CampaignError::invalid(
-                        &field,
-                        format!("tier depth {bad} exceeds the maximum {MAX_TIER_DEPTH}"),
-                    ));
-                }
-                Ok(GridAxis::Tiers(
-                    counts.iter().map(|&k| k as usize).collect(),
-                ))
-            }
-            "samples" => {
-                let counts = ints("sample counts must be positive integers")?;
-                if counts.contains(&0) {
-                    return Err(CampaignError::invalid(
-                        &field,
-                        "at least one sample required",
-                    ));
-                }
-                Ok(GridAxis::Samples(
-                    counts.iter().map(|&k| k as usize).collect(),
-                ))
-            }
-            "seed" => Ok(GridAxis::Seed(ints("seeds must be non-negative integers")?)),
-            "workload" => values
-                .iter()
-                .map(|v| {
-                    v.as_str().map(str::to_string).ok_or_else(|| {
-                        CampaignError::invalid(
-                            &field,
-                            "expected workload specs (\"apex\", a trace path, or synthetic:...)",
-                        )
-                    })
-                })
-                .collect::<Result<Vec<String>, CampaignError>>()
-                .map(GridAxis::Workload),
-            other => Err(CampaignError::invalid(
-                format!("grid.{other}"),
-                format!("unknown grid axis (expected {GRID_KEYS})"),
-            )),
-        }
-    }
-}
-
 /// A declarative campaign: a base scenario, an optional cartesian grid
-/// over [`GridAxis`] values, and optional explicit member scenarios. See
-/// the [module docs](self) for the JSON schema.
+/// over [`Axis`] values, and optional explicit member scenarios. See the
+/// [module docs](self) for the JSON schema.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Suite {
     /// Optional campaign label (echoed in the merged output, and the
@@ -359,8 +147,9 @@ pub struct Suite {
     pub base: Scenario,
     /// Explicit members, appended after the grid points.
     pub scenarios: Vec<Scenario>,
-    /// Grid axes in document order (first axis outermost).
-    pub grid: Vec<GridAxis>,
+    /// Grid axes with their values, in document order (first axis
+    /// outermost).
+    pub grid: Vec<(&'static Axis, Vec<AxisValue>)>,
 }
 
 impl Suite {
@@ -442,7 +231,12 @@ impl Suite {
                             "duplicate grid axis",
                         ));
                     }
-                    axes.push(GridAxis::from_json(k, val)?);
+                    let field = format!("grid.{k}");
+                    let axis = grid_axis(k).map_err(|e| CampaignError::invalid(&field, e))?;
+                    let values = axis
+                        .parse_values(val)
+                        .map_err(|e| CampaignError::invalid(&field, e))?;
+                    axes.push((axis, values));
                 }
                 axes
             }
@@ -476,7 +270,7 @@ impl Suite {
     pub fn expand(&self) -> Result<Vec<Scenario>, CampaignError> {
         let mut points: Vec<Scenario> = Vec::new();
         if !self.grid.is_empty() {
-            let dims: Vec<usize> = self.grid.iter().map(GridAxis::len).collect();
+            let dims: Vec<usize> = self.grid.iter().map(|(_, values)| values.len()).collect();
             if dims.contains(&0) {
                 return Err(CampaignError::invalid("grid", "axis must list values"));
             }
@@ -489,21 +283,38 @@ impl Suite {
                     idx[d] = rem % dim;
                     rem /= dim;
                 }
-                let mut sc = self.base.clone();
-                let mut label = Vec::with_capacity(self.grid.len());
-                for (axis, &i) in self.grid.iter().zip(&idx) {
-                    sc = axis.apply(sc, i);
-                    // `/` separates the name's axis segments (and these
-                    // names become file-ish labels downstream), so values
-                    // carrying one — trace paths — are flattened to `_`.
-                    let value = axis.label(i).replace('/', "_");
-                    label.push(format!("{}={}", axis.key(), value));
-                }
+                let at = || {
+                    self.grid
+                        .iter()
+                        .zip(&idx)
+                        .map(|((axis, values), &i)| (axis, &values[i]))
+                };
+                // `/` separates the name's axis segments (and these names
+                // become file-ish labels downstream), so values carrying
+                // one — trace paths — are flattened to `_`.
+                let label: Vec<String> = at()
+                    .map(|(axis, value)| {
+                        format!("{}={}", axis.key, value.label().replace('/', "_"))
+                    })
+                    .collect();
                 let label = label.join("/");
-                sc.name = Some(match &prefix {
+                let name = match &prefix {
                     Some(p) => format!("{p}/{label}"),
                     None => label,
-                });
+                };
+                let mut sc = self.base.clone();
+                for (axis, value) in at() {
+                    sc = axis
+                        .apply(sc, value)
+                        .map_err(|message| CampaignError::Point {
+                            name: name.clone(),
+                            source: ScenarioError::Invalid {
+                                field: format!("grid.{}", axis.key),
+                                message,
+                            },
+                        })?;
+                }
+                sc.name = Some(name);
                 points.push(sc);
             }
         }
@@ -861,20 +672,15 @@ pub fn run_suite(suite: &Suite, opts: &CampaignOptions) -> Result<Campaign, Camp
     run_suite_with(suite, opts, |_, _, _| {})
 }
 
-/// Executes every expanded point of `suite` across the shared two-level
-/// work-sharing pool and merges the results in expansion order.
+/// Executes every expanded point of `suite` on the shared worker loop
+/// ([`run_points`]) and merges the results in expansion order.
 ///
 /// `opts.threads` (0 = one per core) is the **total** simulation thread
-/// count, honored end to end. Each worker claims points through an atomic
-/// cursor and installs the shared [`crate::montecarlo::sim_pool`] as its ambient
-/// pool, so a point's Monte-Carlo batch is enqueued as seed-range chunks
-/// that *every* worker can steal: a one-point suite with 1000 samples
-/// saturates all workers instead of pinning one. Workers that run out of
-/// points keep helping with other points' chunks until the last point
-/// completes. Each point's samples are reduced in seed order, so reports,
-/// the result cache, and the merged output are bit-identical at any
-/// thread count — `--threads 1` really runs one thread (no inner pool
-/// ever fans out further), and chunk boundaries only affect scheduling.
+/// count, honored end to end: workers claim points and steal each other's
+/// seed-range sample chunks, so a one-point suite with 1000 samples
+/// saturates all workers instead of pinning one. Each point's samples
+/// reduce in seed order, so reports, the result cache, and the merged
+/// output are bit-identical at any thread count.
 ///
 /// `on_done(index, entry, wall_ms)` fires from worker threads as points
 /// finish — completion order, for streaming progress — while the merged
@@ -895,109 +701,40 @@ where
     F: Fn(usize, &CampaignEntry, u64) + Sync,
 {
     let points = suite.expand()?;
-    let n = points.len();
-    let hw = std::thread::available_parallelism()
-        .map(|p| p.get())
-        .unwrap_or(1);
-    // Not clamped to the point count: with more workers than points the
-    // surplus threads still shard samples inside the points.
-    let workers = (if opts.threads == 0 { hw } else { opts.threads }).max(1);
     let op_cache: &OpPointCache = match &opts.op_cache {
         Some(c) => c,
         None => OpPointCache::global(),
     };
-    let pool = crate::montecarlo::sim_pool(workers);
-    let next = AtomicUsize::new(0);
-    // Points claimed but not yet finished; point-less workers keep
-    // helping until the cursor is exhausted *and* this reaches zero.
-    let active = AtomicUsize::new(0);
-    let slots: Mutex<Vec<Option<CampaignEntry>>> = Mutex::new((0..n).map(|_| None).collect());
-    let failure: Mutex<Option<CampaignError>> = Mutex::new(None);
     // (label, expansion index, record): sorted after the join so journal
     // order is completion-order-independent.
     let journal: Mutex<Vec<(String, usize, Json)>> = Mutex::new(Vec::new());
-
-    std::thread::scope(|scope| {
-        for worker in 0..workers {
-            // `move` is only for the worker index; everything else is
-            // captured as a shared borrow.
-            let (journal, points, next, active, slots, failure, on_done, pool) = (
-                &journal, &points, &next, &active, &slots, &failure, &on_done, &pool,
+    let entries = run_points(points.len(), opts.threads, |i, worker| {
+        let obs_scope = coopckpt_obs::enabled().then(coopckpt_obs::new_scope);
+        let start = std::time::Instant::now();
+        let entry = {
+            let _guard = obs_scope.as_ref().map(coopckpt_obs::enter);
+            run_point(&points[i], opts.cache.as_ref(), op_cache)?
+        };
+        let wall_ms = start.elapsed().as_millis() as u64;
+        if let Some(scope) = &obs_scope {
+            let record = crate::telemetry::journal_record(
+                entry.label(),
+                start.elapsed().as_secs_f64() * 1e3,
+                points[i].samples,
+                entry.from_cache,
+                worker,
+                &scope.snapshot(),
             );
-            scope.spawn(move || {
-                let _ambient = crate::montecarlo::set_ambient_pool(Arc::clone(pool));
-                loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    if i >= n {
-                        break;
-                    }
-                    active.fetch_add(1, Ordering::SeqCst);
-                    let obs_scope = coopckpt_obs::enabled().then(coopckpt_obs::new_scope);
-                    let start = std::time::Instant::now();
-                    let result = {
-                        let _guard = obs_scope.as_ref().map(coopckpt_obs::enter);
-                        run_point(&points[i], opts.cache.as_ref(), op_cache)
-                    };
-                    let finished = match result {
-                        Ok(entry) => {
-                            let wall_ms = start.elapsed().as_millis() as u64;
-                            if let Some(scope) = &obs_scope {
-                                let record = crate::telemetry::journal_record(
-                                    entry.label(),
-                                    start.elapsed().as_secs_f64() * 1e3,
-                                    points[i].samples,
-                                    entry.from_cache,
-                                    worker,
-                                    &scope.snapshot(),
-                                );
-                                journal.lock().push((entry.label().to_string(), i, record));
-                            }
-                            on_done(i, &entry, wall_ms);
-                            slots.lock()[i] = Some(entry);
-                            true
-                        }
-                        Err(e) => {
-                            failure.lock().get_or_insert(e);
-                            // Park the cursor so idle workers stop
-                            // claiming points (in-flight ones finish
-                            // harmlessly).
-                            next.store(n, Ordering::Relaxed);
-                            false
-                        }
-                    };
-                    active.fetch_sub(1, Ordering::SeqCst);
-                    // A help_until condition below may have just become
-                    // true; wake the waiters so they re-check.
-                    pool.notify();
-                    if !finished {
-                        break;
-                    }
-                }
-                // Out of points: keep executing other points' sample
-                // chunks until every claimed point has finished. (A
-                // point claimed between our cursor read and this check
-                // may slip by and complete owner-only — harmless, its
-                // owner drains its own job.)
-                pool.help_until(|| {
-                    next.load(Ordering::Relaxed) >= n && active.load(Ordering::SeqCst) == 0
-                });
-            });
+            journal.lock().push((entry.label().to_string(), i, record));
         }
-    });
-
-    if let Some(e) = failure.into_inner() {
-        return Err(e);
-    }
+        on_done(i, &entry, wall_ms);
+        Ok::<_, CampaignError>(entry)
+    })?;
     let mut records = journal.into_inner();
     records.sort_by(|a, b| a.0.cmp(&b.0).then(a.1.cmp(&b.1)));
     for (_, _, record) in &records {
         coopckpt_obs::journal_line(&record.to_string());
     }
-    let entries = slots
-        .into_inner()
-        .into_iter()
-        .map(|slot| slot.expect("every point completed"))
-        .collect();
     Ok(Campaign {
         suite: suite.name.clone(),
         entries,
@@ -1318,6 +1055,7 @@ pub fn compare_campaigns(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::scenario::WorkloadSource;
 
     fn temp_dir(tag: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!("coopckpt-{tag}-{}", std::process::id()));

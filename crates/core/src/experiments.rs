@@ -1,183 +1,24 @@
-//! Experiment sweeps regenerating the paper's figures.
+//! Scenario execution and the paper's figure experiments.
 //!
-//! Each helper returns plain data (one [`SweepPoint`] per strategy per
-//! x-value plus the theoretical lower bound), leaving rendering to the
-//! bench binaries and the CLI:
-//!
-//! * [`waste_vs_bandwidth`] — Figure 1: waste ratio as a function of the
-//!   aggregate PFS bandwidth (Cielo, 2-year node MTBF in the paper).
-//! * [`waste_vs_mtbf`] — Figure 2: waste ratio as a function of node MTBF
-//!   (Cielo, 40 GB/s in the paper).
+//! * [`run_scenario`] — the front door: one operating point, or the
+//!   scenario's sweep. A sweep is a one-axis grid (see [`crate::axis`])
+//!   crossed with the strategy roster, run as plain operating points:
+//!   Figure 1 sweeps the PFS bandwidth, Figure 2 the node MTBF.
 //! * [`min_bandwidth_for_efficiency`] — Figure 3: the smallest bandwidth
 //!   reaching a target efficiency (80 % in the paper), per strategy, found
 //!   by bisection over the bandwidth axis.
-//! * [`waste_vs_tier_count`] — beyond the paper: waste ratio as a function
-//!   of storage-hierarchy depth (0 = the paper's PFS-only platform), with
-//!   tiers scaled to the platform by
-//!   [`geometric_tiers`].
 
-use crate::montecarlo::{run_many, run_many_by, MonteCarloConfig, OpPointCache};
+use crate::axis::AxisValue;
+use crate::montecarlo::{run_many, run_points, MonteCarloConfig, OpPointCache};
 use crate::report::{candlestick_cells, Cell, Report, CANDLESTICK_COLUMNS};
-use crate::scenario::{Scenario, ScenarioError, Sweep, SweepAxis};
-use crate::sim::{
-    geometric_tiers, EnergySummary, FailureClass, FailureModel, PowerModel, SimConfig, SimResult,
-};
+use crate::scenario::{Scenario, ScenarioError, Sweep};
+use crate::sim::{EnergySummary, FailureClass, SimConfig, SimResult};
 use crate::strategy::{CheckpointPolicy, Strategy};
-use coopckpt_des::Duration;
-use coopckpt_model::{AppClass, Bandwidth, Bytes, Platform};
+use coopckpt_model::{AppClass, Bandwidth, Platform};
 use coopckpt_stats::{Candlestick, Category, ProjectLedger, WasteLedger};
 use coopckpt_theory::{lower_bound, ClassParams};
 
-/// One measured operating point of a sweep.
-#[derive(Debug, Clone)]
-pub struct SweepPoint {
-    /// The swept x-value (GB/s for Fig. 1, node-MTBF years for Fig. 2).
-    pub x: f64,
-    /// Strategy name, or `"Theoretical Model"` for the bound.
-    pub series: String,
-    /// Candlestick of the waste ratio over the Monte-Carlo instances
-    /// (degenerate — all fields equal — for the analytic bound).
-    pub stats: Candlestick,
-}
-
-fn bound_point(x: f64, platform: &Platform, classes: &[AppClass]) -> SweepPoint {
-    let params: Vec<ClassParams> = classes
-        .iter()
-        .map(|c| ClassParams::from_app_class(c, platform))
-        .collect();
-    let w = lower_bound(platform, &params).waste;
-    SweepPoint {
-        x,
-        series: "Theoretical Model".to_string(),
-        stats: Candlestick::from_samples(&[w]),
-    }
-}
-
-/// Figure 1: waste ratio vs. aggregate bandwidth, for every strategy plus
-/// the theoretical bound. `template` carries the platform (its bandwidth
-/// field is overridden per point), classes, span and models.
-pub fn waste_vs_bandwidth(
-    template: &SimConfig,
-    bandwidths_gbps: &[f64],
-    strategies: &[Strategy],
-    mc: &MonteCarloConfig,
-) -> Vec<SweepPoint> {
-    let mut points = Vec::new();
-    for &gbps in bandwidths_gbps {
-        let platform = template.platform.with_bandwidth(Bandwidth::from_gbps(gbps));
-        for strat in strategies {
-            let cfg = SimConfig {
-                platform: platform.clone(),
-                strategy: *strat,
-                ..template.clone()
-            };
-            let samples = run_many(&cfg, mc);
-            points.push(SweepPoint {
-                x: gbps,
-                series: strat.name(),
-                stats: samples.candlestick(),
-            });
-        }
-        points.push(bound_point(gbps, &platform, &template.classes));
-    }
-    points
-}
-
-/// Figure 2: waste ratio vs. node MTBF (years), for every strategy plus
-/// the theoretical bound, at the template's fixed bandwidth.
-pub fn waste_vs_mtbf(
-    template: &SimConfig,
-    mtbf_years: &[f64],
-    strategies: &[Strategy],
-    mc: &MonteCarloConfig,
-) -> Vec<SweepPoint> {
-    let mut points = Vec::new();
-    for &years in mtbf_years {
-        let platform = template
-            .platform
-            .with_node_mtbf(Duration::from_years(years));
-        for strat in strategies {
-            let cfg = SimConfig {
-                platform: platform.clone(),
-                strategy: *strat,
-                ..template.clone()
-            };
-            let samples = run_many(&cfg, mc);
-            points.push(SweepPoint {
-                x: years,
-                series: strat.name(),
-                stats: samples.candlestick(),
-            });
-        }
-        points.push(bound_point(years, &platform, &template.classes));
-    }
-    points
-}
-
-/// Beyond the paper: waste ratio vs. storage-hierarchy depth, for every
-/// strategy, at the template's fixed PFS bandwidth. Each tier count `k`
-/// installs [`geometric_tiers`]`(platform, k)`
-/// (`k = 0` is the PFS-only baseline).
-///
-/// No "Theoretical Model" series is emitted: the Theorem 1 bound prices
-/// checkpoints at the PFS commit cost, which a hierarchy's fast absorbs
-/// legitimately undercut, so the bound is not a lower bound on these runs.
-pub fn waste_vs_tier_count(
-    template: &SimConfig,
-    tier_counts: &[usize],
-    strategies: &[Strategy],
-    mc: &MonteCarloConfig,
-) -> Vec<SweepPoint> {
-    let mut points = Vec::new();
-    for &k in tier_counts {
-        let tiers = geometric_tiers(&template.platform, k);
-        for strat in strategies {
-            let cfg = SimConfig {
-                strategy: *strat,
-                tiers: tiers.clone(),
-                ..template.clone()
-            };
-            let samples = run_many(&cfg, mc);
-            points.push(SweepPoint {
-                x: k as f64,
-                series: strat.name(),
-                stats: samples.candlestick(),
-            });
-        }
-    }
-    points
-}
-
-/// ROADMAP follow-on sweep: waste ratio vs. Weibull failure-law shape,
-/// mean-matched to the platform MTBF (`shape = 1` is the exponential
-/// law). No "Theoretical Model" series: Theorem 1 is derived under
-/// exponential failures, so the bound does not apply across this axis.
-pub fn waste_vs_weibull_shape(
-    template: &SimConfig,
-    shapes: &[f64],
-    strategies: &[Strategy],
-    mc: &MonteCarloConfig,
-) -> Vec<SweepPoint> {
-    let mut points = Vec::new();
-    for &shape in shapes {
-        for strat in strategies {
-            let cfg = SimConfig {
-                strategy: *strat,
-                failures: FailureModel::Weibull(shape),
-                ..template.clone()
-            };
-            let samples = run_many(&cfg, mc);
-            points.push(SweepPoint {
-                x: shape,
-                series: strat.name(),
-                stats: samples.candlestick(),
-            });
-        }
-    }
-    points
-}
-
-/// The two-class mix the `local-failure-share` axis installs at share
+/// The two-class mix the `local_failure_share` axis installs at share
 /// `x`: node-local failures (severity 1 — the victim's node-local copy
 /// dies with its node; every shared tier survives) carrying `x` of the
 /// platform failure rate, system failures the rest. `x = 0` is exactly
@@ -189,216 +30,108 @@ pub fn local_failure_mix(local_share: f64) -> Vec<FailureClass> {
     ]
 }
 
-/// Per-level failure-class follow-on sweep: waste ratio vs. the share of
-/// failures that are node-local rather than system-wide, under the
-/// template's storage hierarchy ([`local_failure_mix`] per point). The
-/// total failure rate is unchanged across the axis — only the recovery
-/// source moves (shallow tier restores instead of PFS reads) — so the
-/// mean waste falls as the local share grows. No "Theoretical Model"
-/// series: Theorem 1 prices every recovery at the PFS read, which local
-/// restores legitimately undercut.
-pub fn waste_vs_local_failure_share(
-    template: &SimConfig,
-    shares: &[f64],
-    strategies: &[Strategy],
-    mc: &MonteCarloConfig,
-) -> Vec<SweepPoint> {
-    let mut points = Vec::new();
-    for &share in shares {
-        for strat in strategies {
-            let cfg = SimConfig {
-                strategy: *strat,
-                failure_classes: local_failure_mix(share),
-                ..template.clone()
-            };
-            let samples = run_many(&cfg, mc);
-            points.push(SweepPoint {
-                x: share,
-                series: strat.name(),
-                stats: samples.candlestick(),
-            });
-        }
-    }
-    points
-}
-
-/// The comd-ft progress-rate sweep: waste ratio as a function of the
-/// fraction `f` of each job's memory footprint written per checkpoint.
-/// Each point replaces every class's checkpoint volume with
-/// `f × q_nodes × mem_per_node` (the footprint of a full-memory dump),
-/// keeping walltimes and shares fixed, so the axis isolates checkpoint
-/// *size* from everything else. Pair with the `exascale` platform preset
-/// to reproduce the study's operating point. The Theorem 1 bound is
-/// re-evaluated per point (it prices checkpoints at the PFS commit cost
-/// of the scaled volume), so the "Theoretical Model" series tracks the
-/// axis.
-pub fn waste_vs_ckpt_mem_fraction(
-    template: &SimConfig,
-    fractions: &[f64],
-    strategies: &[Strategy],
-    mc: &MonteCarloConfig,
-) -> Vec<SweepPoint> {
-    let mut points = Vec::new();
-    for &f in fractions {
-        let classes: Vec<AppClass> = template
-            .classes
-            .iter()
-            .map(|c| AppClass {
-                ckpt_bytes: Bytes::new(
-                    template.platform.mem_per_node.as_bytes() * c.q_nodes as f64 * f,
-                ),
-                ..c.clone()
-            })
-            .collect();
-        for strat in strategies {
-            let cfg = SimConfig {
-                strategy: *strat,
-                classes: classes.clone(),
-                ..template.clone()
-            };
-            let samples = run_many(&cfg, mc);
-            points.push(SweepPoint {
-                x: f,
-                series: strat.name(),
-                stats: samples.candlestick(),
-            });
-        }
-        points.push(bound_point(f, &template.platform, &classes));
-    }
-    points
-}
-
-/// The time-vs-energy trade-off sweep: **energy** waste ratio as a
-/// function of the checkpoint/compute power ratio `ρ_ckpt / ρ_comp`. The
-/// template's power model (the Cielo preset when it has none) supplies
-/// every other draw; each point rescales the checkpoint and recovery
-/// draws to `ratio × ρ_comp`. This is the one axis whose candlesticks
-/// summarize `energy_waste_ratio` instead of the time waste ratio.
-pub fn energy_vs_power_ratio(
-    template: &SimConfig,
-    ratios: &[f64],
-    strategies: &[Strategy],
-    mc: &MonteCarloConfig,
-) -> Vec<SweepPoint> {
-    let base = template.power.unwrap_or_else(PowerModel::cielo);
-    let mut points = Vec::new();
-    for &ratio in ratios {
-        let power = PowerModel {
-            ckpt_w: base.compute_w * ratio,
-            recovery_w: base.compute_w * ratio,
-            ..base
-        };
-        for strat in strategies {
-            let cfg = SimConfig {
-                strategy: *strat,
-                power: Some(power),
-                ..template.clone()
-            };
-            let samples = run_many_by(&cfg, mc, |r| {
-                r.energy
-                    .as_ref()
-                    .expect("power configured for every point")
-                    .energy_waste_ratio
-            });
-            points.push(SweepPoint {
-                x: ratio,
-                series: strat.name(),
-                stats: samples.candlestick(),
-            });
-        }
-    }
-    points
-}
-
-/// Executes one sweep descriptor against a template config: every paper
-/// strategy at every swept value (plus the `Tiered` discipline on the
-/// `tiers` axis, and the Theorem 1 bound on the axes it is valid for).
-pub fn sweep_points(
-    template: &SimConfig,
+/// Appends the `sweep` section: one row per `(value, series)` with
+/// candlestick columns, values outer and the strategy roster inner.
+///
+/// Every row is an operating point `run` would simulate: the scenario
+/// with the axis set to the value and the strategy set, compiled by
+/// [`Scenario::into_config`] and fetched through `cache`. The points run
+/// on the campaign runner's worker loop ([`run_points`]) — inside a
+/// campaign, on the calling worker, feeding the ambient pool.
+fn sweep_section(
+    report: &mut Report,
+    scenario: &Scenario,
     sweep: &Sweep,
-    mc: &MonteCarloConfig,
-) -> Result<Vec<SweepPoint>, ScenarioError> {
-    let strategies = Strategy::all_seven();
-    match sweep.axis {
-        SweepAxis::Bandwidth => Ok(waste_vs_bandwidth(template, &sweep.values, &strategies, mc)),
-        SweepAxis::Mtbf => Ok(waste_vs_mtbf(template, &sweep.values, &strategies, mc)),
-        SweepAxis::Tiers => {
-            let counts = crate::scenario::validate_tier_counts(&sweep.values)?;
-            let mut strategies = strategies.to_vec();
-            strategies.push(Strategy::tiered(CheckpointPolicy::Daly));
-            Ok(waste_vs_tier_count(template, &counts, &strategies, mc))
-        }
-        SweepAxis::WeibullShape => {
-            crate::scenario::validate_positive_values(sweep.axis, &sweep.values)?;
-            Ok(waste_vs_weibull_shape(
-                template,
-                &sweep.values,
-                &strategies,
-                mc,
-            ))
-        }
-        SweepAxis::PowerRatio => {
-            crate::scenario::validate_positive_values(sweep.axis, &sweep.values)?;
-            Ok(energy_vs_power_ratio(
-                template,
-                &sweep.values,
-                &strategies,
-                mc,
-            ))
-        }
-        SweepAxis::LocalFailureShare => {
-            crate::scenario::validate_share_values(&sweep.values)?;
-            let mut strategies = strategies.to_vec();
-            strategies.push(Strategy::tiered(CheckpointPolicy::Daly));
-            Ok(waste_vs_local_failure_share(
-                template,
-                &sweep.values,
-                &strategies,
-                mc,
-            ))
-        }
-        SweepAxis::CkptMemFraction => {
-            crate::scenario::validate_fraction_values(&sweep.values)?;
-            if template.workload_source.is_some() {
-                // Trace-driven classes carry the trace's own checkpoint
-                // volumes (they key the stream's shape table); rescaling
-                // them would desynchronize the stream from its scan.
-                return Err(ScenarioError::Invalid {
-                    field: "sweep.axis".to_string(),
-                    message: "ckpt-mem-fraction rescales class checkpoint volumes, \
-                              which trace workloads derive from the trace itself; use \
-                              an apex or classes workload for this axis"
-                        .to_string(),
-                });
-            }
-            Ok(waste_vs_ckpt_mem_fraction(
-                template,
-                &sweep.values,
-                &strategies,
-                mc,
-            ))
-        }
-    }
-}
-
-/// The standard sweep table: one row per `(x, series)` with candlestick
-/// columns, appended to `report` as a `"sweep"` section.
-pub fn sweep_section(report: &mut Report, x_label: &str, points: &[SweepPoint]) {
-    let section = report.section(
-        "sweep",
-        [x_label, "series"].into_iter().chain(CANDLESTICK_COLUMNS),
-    );
-    for p in points {
-        section.row(
-            [Cell::Float {
-                value: p.x,
-                precision: if p.x.fract() == 0.0 { 0 } else { 2 },
-            }]
-            .into_iter()
-            .chain([Cell::text(p.series.clone())])
-            .chain(candlestick_cells(&p.stats)),
+    base_config: &SimConfig,
+    cache: &OpPointCache,
+) -> Result<(), ScenarioError> {
+    let facts = sweep.check()?;
+    let mut base = Scenario {
+        sweep: None,
+        ..scenario.clone()
+    };
+    if !facts.energy && base.power.is_some() {
+        // Time-metric sweeps have no column to report energy in; don't
+        // pay per-event metering for numbers that would be discarded.
+        base.power = None;
+        report.note(
+            "power model ignored: sweeps report energy only on the \
+             power-ratio axis (single-point runs get energy sections)",
         );
     }
+    for (applies, note) in facts.notes {
+        if applies(base_config) {
+            report.note(*note);
+        }
+    }
+    let mut roster = Strategy::all_seven().to_vec();
+    if facts.tiered_daly {
+        roster.push(Strategy::tiered(CheckpointPolicy::Daly));
+    }
+    // One entry per report row; simulated rows index `points`, bound
+    // rows carry their closed-form value.
+    let mut rows: Vec<(f64, String, Option<Candlestick>)> = Vec::new();
+    let mut points: Vec<SimConfig> = Vec::new();
+    for &x in &sweep.values {
+        let at = sweep
+            .axis
+            .apply(base.clone(), &AxisValue::Num(x))
+            .map_err(|e| ScenarioError::invalid("sweep.axis", e))?;
+        // The strategy is not an input to compilation, so one compile
+        // serves the whole roster at this value.
+        let config = at.into_config()?;
+        for &strategy in &roster {
+            points.push(config.clone().with_strategy(strategy));
+            rows.push((x, strategy.name(), None));
+        }
+        if facts.bound {
+            let params: Vec<ClassParams> = config
+                .classes
+                .iter()
+                .map(|c| ClassParams::from_app_class(c, &config.platform))
+                .collect();
+            let waste = lower_bound(&config.platform, &params).waste;
+            rows.push((
+                x,
+                "Theoretical Model".to_string(),
+                Some(Candlestick::from_samples(&[waste])),
+            ));
+        }
+    }
+    let mc = scenario.mc();
+    let simulated = run_points(points.len(), scenario.threads, |i, _| {
+        let results = cache.run_all(&points[i], &mc);
+        let metric: Vec<f64> = results
+            .iter()
+            .map(|r| match &r.energy {
+                Some(e) if facts.energy => e.energy_waste_ratio,
+                _ => r.waste_ratio,
+            })
+            .collect();
+        Ok::<_, ScenarioError>(Candlestick::from_samples(&metric))
+    })?;
+    let mut simulated = simulated.into_iter();
+    let section = report.section(
+        "sweep",
+        [sweep.name(), "series"]
+            .into_iter()
+            .chain(CANDLESTICK_COLUMNS),
+    );
+    for (x, series, bound) in rows {
+        let stats = bound
+            .or_else(|| simulated.next())
+            .expect("one result per point");
+        section.row(
+            [Cell::Float {
+                value: x,
+                precision: if x.fract() == 0.0 { 0 } else { 2 },
+            }]
+            .into_iter()
+            .chain([Cell::text(series)])
+            .chain(candlestick_cells(&stats)),
+        );
+    }
+    Ok(())
 }
 
 /// Runs a [`Scenario`] end to end and returns the unified [`Report`]:
@@ -406,8 +139,8 @@ pub fn sweep_section(report: &mut Report, x_label: &str, points: &[SweepPoint]) 
 /// * without a sweep — `samples` Monte-Carlo instances of the scenario's
 ///   strategy, reported as waste candlesticks plus utilization and
 ///   counter summaries;
-/// * with a sweep — the full strategy roster at every swept value (see
-///   [`sweep_points`]).
+/// * with a sweep — the full strategy roster at every swept value, as
+///   one `sweep` section (see [`crate::axis`] for what each axis adds).
 pub fn run_scenario(scenario: &Scenario) -> Result<Report, ScenarioError> {
     if !coopckpt_obs::enabled() {
         return run_scenario_with_cache(scenario, OpPointCache::global());
@@ -440,8 +173,7 @@ pub fn run_scenario(scenario: &Scenario) -> Result<Report, ScenarioError> {
 /// so scenarios sharing an operating point (same platform, strategy,
 /// span, sampling, ...) compute it once per process — the campaign
 /// runner's work-sharing path, also used by the heavyweight test suites.
-/// Sweeps execute uncached: each sweep point is an internal config the
-/// caller never re-requests.
+/// Sweeps fetch every (value, strategy) point through `cache` too.
 pub fn run_scenario_with_cache(
     scenario: &Scenario,
     cache: &OpPointCache,
@@ -468,43 +200,7 @@ pub fn run_scenario_with_cache(
     report.note(config.platform.to_string());
 
     match &scenario.sweep {
-        Some(sweep) => {
-            let mut config = config;
-            if config.power.is_some() && sweep.axis != SweepAxis::PowerRatio {
-                // Time-metric sweeps have no column to report energy in;
-                // don't silently pay per-event metering for numbers that
-                // would be discarded — drop the meter and say so.
-                config.power = None;
-                report.note(
-                    "power model ignored: sweeps report energy only on the \
-                     power-ratio axis (single-point runs get energy sections)",
-                );
-            }
-            if sweep.axis == SweepAxis::LocalFailureShare {
-                if config.tiers.is_empty() {
-                    // The sweep still runs (it degenerates validly), but
-                    // a flat curve with no explanation reads like a bug.
-                    report.note(
-                        "local-failure-share sweep over a PFS-only platform: \
-                         without storage tiers no retained copy can serve a \
-                         restore, so every point recovers from the PFS \
-                         (configure tiers >= 2 to see the effect)",
-                    );
-                }
-                if !config.failure_classes.is_empty() {
-                    // The axis owns the mix: each point installs
-                    // {local: x, system: 1-x}. Don't silently drop a
-                    // user-configured mix.
-                    report.note(
-                        "configured failure_classes ignored: the \
-                         local-failure-share axis installs its own \
-                         {local, system} two-class mix at every point",
-                    );
-                }
-            }
-            let points = sweep_points(&config, sweep, &mc)?;
-            sweep_section(&mut report, sweep.axis.as_str(), &points);
-        }
+        Some(sweep) => sweep_section(&mut report, scenario, sweep, &config, cache)?,
         None => {
             let results = cache.run_all(&config, &mc);
             let metric = |f: fn(&SimResult) -> f64| -> Vec<f64> { results.iter().map(f).collect() };
@@ -742,6 +438,8 @@ pub fn theory_min_bandwidth(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::sim::{geometric_tiers, PowerModel};
+    use coopckpt_des::Duration;
     use coopckpt_model::Bytes;
 
     fn template() -> SimConfig {
@@ -768,123 +466,123 @@ mod tests {
             .with_span(Duration::from_days(2.0))
     }
 
+    const BOUND: &str = "Theoretical Model";
+
+    /// What one sweep case checks: `mean(series, x)` reads a row's mean,
+    /// `plain` is the unswept template's Least-Waste mean waste.
+    type Property = fn(&dyn Fn(&str, f64) -> f64, f64) -> bool;
+
+    /// One sweep per axis on the tiny template: the axis, its two values,
+    /// the template's tier depth, the expected row count, and the property
+    /// the rows must show.
+    const SWEEP_CASES: [(&str, [f64; 2], usize, usize, Property); 7] = [
+        // Two values × (seven strategies + the bound); more bandwidth
+        // never raises the bound.
+        ("bandwidth", [2.0, 8.0], 0, 16, |m, _| {
+            m(BOUND, 8.0) <= m(BOUND, 2.0) + 1e-12
+        }),
+        // The bound falls with reliability.
+        ("mtbf", [2.0, 20.0], 0, 16, |m, _| {
+            m(BOUND, 20.0) < m(BOUND, 2.0)
+        }),
+        // Tiered-Daly joins the roster, no bound. A deeper hierarchy at
+        // the same PFS bandwidth must not hurt the blocking strategy.
+        ("tiers", [0.0, 3.0], 0, 16, |m, _| {
+            m("Ordered-Daly", 3.0) <= m("Ordered-Daly", 0.0) + 1e-9
+        }),
+        // No bound. Shape 1.0 is the mean-matched exponential law; its
+        // instants differ from the exponential sampler's by ulps (the
+        // mean-matching scale divides by a Lanczos Γ(2) ≈ 1), but a
+        // broken mean-match would move the waste far more than this.
+        ("weibull-shape", [0.7, 1.0], 0, 14, |m, plain| {
+            (m("Least-Waste", 1.0) - plain).abs() < 0.02
+        }),
+        // Energy metric, no bound: pricier checkpoints must not lower the
+        // energy waste at a fixed (time-optimal) period.
+        ("power-ratio", [0.25, 4.0], 0, 14, |m, _| {
+            let (cheap, dear) = (m("Least-Waste", 0.25), m("Least-Waste", 4.0));
+            0.0 < cheap && cheap < dear && dear < 1.0
+        }),
+        // Tiered-Daly joins, no bound: mostly-local failures restore from
+        // fast tiers, so waste must not grow versus all-system failures.
+        ("local-failure-share", [0.0, 0.9], 3, 16, |m, _| {
+            m("Least-Waste", 0.9) <= m("Least-Waste", 0.0) + 1e-9
+        }),
+        // The bound tracks the axis: smaller checkpoints cannot raise it.
+        ("ckpt-mem-fraction", [0.1, 1.0], 0, 16, |m, _| {
+            m(BOUND, 0.1) <= m(BOUND, 1.0) + 1e-12
+        }),
+    ];
+
+    fn sweep_case(axis: &str) {
+        let (_, values, tiers, rows, property) = SWEEP_CASES
+            .into_iter()
+            .find(|case| case.0 == axis)
+            .expect("one case per sweep axis");
+        let t = SimConfig {
+            tiers: geometric_tiers(&template().platform, tiers),
+            ..template()
+        };
+        let mut sc = Scenario::from_config(&t).with_sampling(2, 1);
+        sc.sweep = Some(Sweep::new(axis, Some(values.to_vec())).unwrap());
+        let report = run_scenario_with_cache(&sc, &OpPointCache::new()).unwrap();
+        let sweep = &report.sections[0];
+        assert_eq!(sweep.rows.len(), rows, "{axis}: {:?}", sweep.rows);
+        let value = |cell: &Cell| match cell {
+            Cell::Float { value, .. } => *value,
+            other => panic!("{axis}: expected a number, got {other:?}"),
+        };
+        let mean = |series: &str, x: f64| -> f64 {
+            let row = sweep
+                .rows
+                .iter()
+                .find(|r| value(&r[0]) == x && r[1] == Cell::text(series))
+                .unwrap_or_else(|| panic!("{axis}: no {series} row at {x}"));
+            value(&row[2])
+        };
+        let plain = run_many(&t, &sc.mc()).candlestick().mean;
+        assert!(property(&mean, plain), "{axis}: {:?}", sweep.rows);
+    }
+
     #[test]
     fn bandwidth_sweep_produces_all_series() {
-        let t = template();
-        let strategies = [
-            Strategy::least_waste(),
-            Strategy::oblivious(crate::strategy::CheckpointPolicy::Daly),
-        ];
-        let pts = waste_vs_bandwidth(&t, &[2.0, 8.0], &strategies, &MonteCarloConfig::new(2));
-        // Two x-values × (two strategies + bound).
-        assert_eq!(pts.len(), 6);
-        let bounds: Vec<&SweepPoint> = pts
-            .iter()
-            .filter(|p| p.series == "Theoretical Model")
-            .collect();
-        assert_eq!(bounds.len(), 2);
-        // The bound improves (or stays) with more bandwidth.
-        assert!(bounds[1].stats.mean <= bounds[0].stats.mean + 1e-12);
+        sweep_case("bandwidth");
     }
 
     #[test]
     fn mtbf_sweep_produces_all_series() {
-        let t = template();
-        let pts = waste_vs_mtbf(
-            &t,
-            &[2.0, 20.0],
-            &[Strategy::least_waste()],
-            &MonteCarloConfig::new(2),
-        );
-        assert_eq!(pts.len(), 4);
-        // Theory bound falls with reliability.
-        let bounds: Vec<f64> = pts
-            .iter()
-            .filter(|p| p.series == "Theoretical Model")
-            .map(|p| p.stats.mean)
-            .collect();
-        assert!(bounds[1] < bounds[0]);
+        sweep_case("mtbf");
     }
 
     #[test]
     fn tier_count_sweep_produces_all_series() {
-        let t = template();
-        let strategies = [
-            Strategy::ordered(crate::strategy::CheckpointPolicy::Daly),
-            Strategy::tiered(crate::strategy::CheckpointPolicy::Daly),
-        ];
-        let pts = waste_vs_tier_count(&t, &[0, 3], &strategies, &MonteCarloConfig::new(2));
-        assert_eq!(pts.len(), 4);
-        assert!(pts.iter().all(|p| p.series != "Theoretical Model"));
-        // Deeper hierarchy at the same PFS bandwidth must not hurt the
-        // blocking strategy.
-        let ordered: Vec<&SweepPoint> = pts.iter().filter(|p| p.series == "Ordered-Daly").collect();
-        assert!(ordered[1].stats.mean <= ordered[0].stats.mean + 1e-9);
+        sweep_case("tiers");
     }
 
     #[test]
     fn weibull_shape_sweep_produces_all_series() {
-        let t = template();
-        let pts = waste_vs_weibull_shape(
-            &t,
-            &[0.7, 1.0],
-            &[Strategy::least_waste()],
-            &MonteCarloConfig::new(2),
-        );
-        assert_eq!(pts.len(), 2);
-        assert!(pts.iter().all(|p| p.series != "Theoretical Model"));
-        // Shape 1.0 is the mean-matched exponential law. The sampled
-        // instants differ from the exponential sampler's by ulps (the
-        // mean-matching scale divides by a Lanczos Γ(2) ≈ 1), so the
-        // runs are not bitwise equal — but a broken mean-match would
-        // shift the failure rate and move the waste by far more than
-        // this tolerance.
-        let expo = run_many(
-            &SimConfig {
-                failures: FailureModel::Exponential,
-                ..t.clone()
-            },
-            &MonteCarloConfig::new(2),
-        );
-        assert!(
-            (pts[1].stats.mean - expo.candlestick().mean).abs() < 0.02,
-            "Weibull(1.0) waste {} strayed from exponential waste {}",
-            pts[1].stats.mean,
-            expo.candlestick().mean
-        );
+        sweep_case("weibull-shape");
     }
 
     #[test]
     fn local_failure_share_sweep_produces_all_series() {
-        let t = SimConfig {
-            tiers: geometric_tiers(&template().platform, 3),
-            ..template()
-        };
-        let pts = waste_vs_local_failure_share(
-            &t,
-            &[0.0, 0.9],
-            &[Strategy::least_waste()],
-            &MonteCarloConfig::new(2),
-        );
-        assert_eq!(pts.len(), 2);
-        assert!(pts.iter().all(|p| p.series != "Theoretical Model"));
-        // Mostly-local failures restore from fast tiers: waste must not
-        // grow versus the all-system baseline.
-        assert!(
-            pts[1].stats.mean <= pts[0].stats.mean + 1e-9,
-            "local restores should not raise waste: {} vs {}",
-            pts[1].stats.mean,
-            pts[0].stats.mean
-        );
+        sweep_case("local-failure-share");
+    }
+
+    #[test]
+    fn power_ratio_sweep_reports_energy_waste() {
+        sweep_case("power-ratio");
+    }
+
+    #[test]
+    fn ckpt_mem_fraction_sweep_produces_all_series() {
+        sweep_case("ckpt-mem-fraction");
     }
 
     #[test]
     fn tierless_local_share_sweep_carries_a_note() {
         let mut sc = Scenario::from_config(&template()).with_sampling(1, 1);
-        sc.sweep = Some(Sweep {
-            axis: SweepAxis::LocalFailureShare,
-            values: vec![0.0, 0.5],
-        });
+        sc.sweep = Some(Sweep::new("local-failure-share", Some(vec![0.0, 0.5])).unwrap());
         let report = run_scenario(&sc).unwrap();
         assert!(
             report.notes.iter().any(|n| n.contains("PFS-only platform")),
@@ -897,10 +595,7 @@ mod tests {
             ..template()
         };
         let mut sc = Scenario::from_config(&tiered).with_sampling(1, 1);
-        sc.sweep = Some(Sweep {
-            axis: SweepAxis::LocalFailureShare,
-            values: vec![0.5],
-        });
+        sc.sweep = Some(Sweep::new("local-failure-share", Some(vec![0.5])).unwrap());
         let report = run_scenario(&sc).unwrap();
         assert!(!report.notes.iter().any(|n| n.contains("PFS-only platform")));
     }
@@ -915,10 +610,7 @@ mod tests {
             ..template()
         };
         let mut sc = Scenario::from_config(&tiered).with_sampling(1, 1);
-        sc.sweep = Some(Sweep {
-            axis: SweepAxis::LocalFailureShare,
-            values: vec![0.5],
-        });
+        sc.sweep = Some(Sweep::new("local-failure-share", Some(vec![0.5])).unwrap());
         let report = run_scenario(&sc).unwrap();
         assert!(
             report
@@ -943,44 +635,6 @@ mod tests {
     }
 
     #[test]
-    fn power_ratio_sweep_reports_energy_waste() {
-        let t = template();
-        let pts = energy_vs_power_ratio(
-            &t,
-            &[0.25, 4.0],
-            &[Strategy::least_waste()],
-            &MonteCarloConfig::new(2),
-        );
-        assert_eq!(pts.len(), 2);
-        // Pricier checkpoints must not lower the energy waste at a fixed
-        // (time-optimal) period.
-        assert!(pts[1].stats.mean > pts[0].stats.mean);
-        for p in &pts {
-            assert!(p.stats.mean > 0.0 && p.stats.mean < 1.0);
-        }
-    }
-
-    #[test]
-    fn ckpt_mem_fraction_sweep_produces_all_series() {
-        let t = template();
-        let pts = waste_vs_ckpt_mem_fraction(
-            &t,
-            &[0.1, 1.0],
-            &[Strategy::least_waste()],
-            &MonteCarloConfig::new(2),
-        );
-        // Two x-values × (one strategy + the bound).
-        assert_eq!(pts.len(), 4);
-        let bounds: Vec<f64> = pts
-            .iter()
-            .filter(|p| p.series == "Theoretical Model")
-            .map(|p| p.stats.mean)
-            .collect();
-        // Smaller checkpoints cannot raise the analytic bound.
-        assert!(bounds[0] <= bounds[1] + 1e-12);
-    }
-
-    #[test]
     fn ckpt_mem_fraction_sweep_rejects_trace_workloads() {
         let mut sc = Scenario::from_config(&template()).with_sampling(1, 1);
         sc.workload = crate::scenario::WorkloadSource::Trace(
@@ -988,10 +642,7 @@ mod tests {
              max_walltime_hours=2,mean_interarrival_secs=600,gb_per_node=2"
                 .into(),
         );
-        sc.sweep = Some(Sweep {
-            axis: SweepAxis::CkptMemFraction,
-            values: vec![0.5],
-        });
+        sc.sweep = Some(Sweep::new("ckpt-mem-fraction", Some(vec![0.5])).unwrap());
         let e = run_scenario(&sc).unwrap_err();
         assert!(e.to_string().contains("trace"), "{e}");
     }
@@ -1050,10 +701,7 @@ mod tests {
     fn time_metric_sweeps_drop_the_power_model_with_a_note() {
         let t = template().with_power(PowerModel::cielo());
         let mut sc = Scenario::from_config(&t).with_sampling(1, 1);
-        sc.sweep = Some(Sweep {
-            axis: SweepAxis::Bandwidth,
-            values: vec![2.0],
-        });
+        sc.sweep = Some(Sweep::new("bandwidth", Some(vec![2.0])).unwrap());
         let report = run_scenario(&sc).unwrap();
         assert!(
             report
@@ -1064,10 +712,7 @@ mod tests {
             report.notes
         );
         // The power-ratio axis keeps (and uses) the model: no such note.
-        sc.sweep = Some(Sweep {
-            axis: SweepAxis::PowerRatio,
-            values: vec![1.0],
-        });
+        sc.sweep = Some(Sweep::new("power-ratio", Some(vec![1.0])).unwrap());
         let report = run_scenario(&sc).unwrap();
         assert!(!report
             .notes
@@ -1079,10 +724,7 @@ mod tests {
     fn run_scenario_power_ratio_sweep() {
         let t = template();
         let mut sc = Scenario::from_config(&t).with_sampling(1, 1);
-        sc.sweep = Some(Sweep {
-            axis: SweepAxis::PowerRatio,
-            values: vec![0.5, 2.0],
-        });
+        sc.sweep = Some(Sweep::new("power-ratio", Some(vec![0.5, 2.0])).unwrap());
         let report = run_scenario(&sc).unwrap();
         let sweep = &report.sections[0];
         assert_eq!(sweep.columns[0], "power-ratio");
@@ -1114,10 +756,7 @@ mod tests {
     fn run_scenario_sweep_report() {
         let t = template();
         let mut sc = Scenario::from_config(&t).with_sampling(1, 1);
-        sc.sweep = Some(Sweep {
-            axis: SweepAxis::Bandwidth,
-            values: vec![2.0, 8.0],
-        });
+        sc.sweep = Some(Sweep::new("bandwidth", Some(vec![2.0, 8.0])).unwrap());
         let report = run_scenario(&sc).unwrap();
         assert_eq!(report.command, "sweep");
         assert_eq!(report.sections.len(), 1);
@@ -1133,7 +772,7 @@ mod tests {
         let t = template();
         let mut sc = Scenario::from_config(&t);
         sc.sweep = Some(Sweep {
-            axis: SweepAxis::Tiers,
+            axis: crate::axis::sweep_axis("tiers").unwrap(),
             values: vec![0.5],
         });
         assert!(run_scenario(&sc).is_err());

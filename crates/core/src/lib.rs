@@ -18,7 +18,8 @@
 //!   failures, restart-from-checkpoint semantics, and node-second waste
 //!   accounting — Section 5 of the paper.
 //! * A parallel **Monte-Carlo runner** ([`montecarlo`]) and the
-//!   **experiment sweeps** ([`experiments`]) regenerating Figures 1–3.
+//!   **experiment sweeps** ([`experiments`]) regenerating Figures 1–3,
+//!   over one axis system ([`axis`]) shared with campaign grids.
 //! * The analytical **lower bound** from [`coopckpt_theory`] (Theorem 1),
 //!   used as the "Theoretical Model" reference curve.
 //!
@@ -39,6 +40,7 @@
 //! assert!(result.waste_ratio >= 0.0 && result.waste_ratio <= 1.0);
 //! ```
 
+pub mod axis;
 pub mod campaign;
 pub mod experiments;
 pub mod json;
@@ -49,13 +51,14 @@ pub mod sim;
 pub mod strategy;
 pub mod telemetry;
 
+pub use axis::{Axis, AxisValue};
 pub use campaign::{
     cache_key, compare_campaigns, run_suite, run_suite_with, Campaign, CampaignEntry,
-    CampaignError, CampaignOptions, CompareOutcome, GridAxis, ResultCache, Suite,
+    CampaignError, CampaignOptions, CompareOutcome, ResultCache, Suite,
 };
 pub use montecarlo::OpPointCache;
 pub use report::{Cell, OutputFormat, Report, Section};
-pub use scenario::{PlatformSpec, Scenario, ScenarioError, Sweep, SweepAxis, TiersSpec};
+pub use scenario::{PlatformSpec, Scenario, ScenarioError, Sweep, TiersSpec};
 pub use sim::{
     geometric_tiers, run_simulation, use_heap_oracle, EnergySummary, FailureClass, Phase,
     PowerModel, SimConfig, SimResult, TierSpec,
@@ -66,13 +69,13 @@ pub use strategy::{CheckpointPolicy, IoDiscipline, Strategy};
 pub mod prelude {
     pub use crate::campaign::{
         cache_key, compare_campaigns, run_suite, run_suite_with, Campaign, CampaignEntry,
-        CampaignError, CampaignOptions, CompareOutcome, GridAxis, ResultCache, Suite,
+        CampaignError, CampaignOptions, CompareOutcome, ResultCache, Suite,
     };
     pub use crate::experiments::{run_scenario, run_scenario_with_cache};
     pub use crate::montecarlo::{run_all, run_many, MonteCarloConfig, OpPointCache};
     pub use crate::report::{Cell, OutputFormat, Report, Section};
     pub use crate::scenario::{
-        PlatformSpec, Scenario, ScenarioError, Sweep, SweepAxis, TiersSpec, WorkloadSource,
+        PlatformSpec, Scenario, ScenarioError, Sweep, TiersSpec, WorkloadSource,
     };
     pub use crate::sim::{
         geometric_tiers, run_simulation, use_heap_oracle, EnergySummary, FailureClass, Phase,

@@ -12,8 +12,9 @@
 //! submitted there as seed-range chunks and the calling thread joins it —
 //! executing chunks itself while idle campaign workers steal the rest, so
 //! one big point saturates every worker without spawning extra threads.
-//! Without an ambient pool (plain `run`/`sweep`), a transient standalone
-//! pool of `mc.threads` threads runs the batch.
+//! [`run_points`] is the worker loop that installs it, for campaign
+//! suites and sweeps alike. Without an ambient pool (a plain `run`), a
+//! transient standalone pool of `mc.threads` threads runs the batch.
 
 use crate::scenario::Scenario;
 use crate::sim::{run_simulation, SimConfig, SimResult};
@@ -21,6 +22,7 @@ use coopckpt_stats::Samples;
 use parking_lot::Mutex;
 use std::cell::RefCell;
 use std::collections::HashMap;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
 
 /// How many instances to run and how.
@@ -106,6 +108,104 @@ pub fn set_ambient_pool(pool: Arc<SimPool>) -> AmbientPoolGuard {
 /// granularity only — threads donate themselves via join/help).
 pub fn sim_pool(workers: usize) -> Arc<SimPool> {
     Arc::new(coopckpt_sched::exec::Pool::new(workers, sim_unit))
+}
+
+/// The worker loop behind campaign suites and sweeps: calls
+/// `task(i, worker)` once for every point `i in 0..n` and returns the
+/// results in point order, or the first error (points not yet claimed
+/// are then skipped).
+///
+/// `threads` (0 = one per core) is the **total** simulation thread
+/// count. Each worker claims points through an atomic cursor and
+/// installs one shared [`sim_pool`] as its ambient pool, so every
+/// point's Monte-Carlo batch is enqueued as seed-range chunks that any
+/// worker can steal — workers out of points keep helping until the last
+/// point completes. Samples reduce in seed order, so results are
+/// bit-identical at any thread count.
+///
+/// When the calling thread already has an ambient pool (a campaign
+/// worker running a sweep point), the points run here, in order, and
+/// their chunks feed that pool instead: the campaign's thread count
+/// stays the total. Workers record telemetry into the caller's scope.
+pub fn run_points<T, E, F>(n: usize, threads: usize, task: F) -> Result<Vec<T>, E>
+where
+    T: Send,
+    E: Send,
+    F: Fn(usize, usize) -> Result<T, E> + Sync,
+{
+    if AMBIENT_POOL.with(|slot| slot.borrow().is_some()) {
+        return (0..n).map(|i| task(i, 0)).collect();
+    }
+    let hw = std::thread::available_parallelism()
+        .map(|p| p.get())
+        .unwrap_or(1);
+    // Not clamped to the point count: with more workers than points the
+    // surplus threads still shard samples inside the points.
+    let workers = (if threads == 0 { hw } else { threads }).max(1);
+    let pool = sim_pool(workers);
+    let obs_scope = coopckpt_obs::current_scope();
+    let next = AtomicUsize::new(0);
+    // Points claimed but not yet finished; point-less workers keep
+    // helping until the cursor is exhausted *and* this reaches zero.
+    let active = AtomicUsize::new(0);
+    let slots: Mutex<Vec<Option<T>>> = Mutex::new((0..n).map(|_| None).collect());
+    let failure: Mutex<Option<E>> = Mutex::new(None);
+    std::thread::scope(|scope| {
+        for worker in 0..workers {
+            // `move` is only for the worker index; everything else is
+            // captured as a shared borrow.
+            let (pool, obs_scope, next, active, slots, failure, task) =
+                (&pool, &obs_scope, &next, &active, &slots, &failure, &task);
+            scope.spawn(move || {
+                let _ambient = set_ambient_pool(Arc::clone(pool));
+                let _obs = obs_scope.as_ref().map(coopckpt_obs::enter);
+                loop {
+                    let i = next.fetch_add(1, Ordering::Relaxed);
+                    if i >= n {
+                        break;
+                    }
+                    active.fetch_add(1, Ordering::SeqCst);
+                    let finished = match task(i, worker) {
+                        Ok(value) => {
+                            slots.lock()[i] = Some(value);
+                            true
+                        }
+                        Err(e) => {
+                            failure.lock().get_or_insert(e);
+                            // Park the cursor so idle workers stop
+                            // claiming points (in-flight ones finish
+                            // harmlessly).
+                            next.store(n, Ordering::Relaxed);
+                            false
+                        }
+                    };
+                    active.fetch_sub(1, Ordering::SeqCst);
+                    // A help_until condition below may have just become
+                    // true; wake the waiters so they re-check.
+                    pool.notify();
+                    if !finished {
+                        break;
+                    }
+                }
+                // Out of points: keep executing other points' sample
+                // chunks until every claimed point has finished. (A
+                // point claimed between our cursor read and this check
+                // may slip by and complete owner-only — harmless, its
+                // owner drains its own job.)
+                pool.help_until(|| {
+                    next.load(Ordering::Relaxed) >= n && active.load(Ordering::SeqCst) == 0
+                });
+            });
+        }
+    });
+    if let Some(e) = failure.into_inner() {
+        return Err(e);
+    }
+    Ok(slots
+        .into_inner()
+        .into_iter()
+        .map(|slot| slot.expect("every point completed"))
+        .collect())
 }
 
 /// One executor unit: a single seeded instance, timed as a sample span

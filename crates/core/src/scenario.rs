@@ -36,6 +36,7 @@
 //! shortest-round-trip floats, so `parse(serialize(s)) == s` exactly for
 //! every representable scenario.
 
+use crate::axis::{Axis, AxisValue, SweepFacts};
 use crate::json::{Json, JsonError};
 use crate::montecarlo::MonteCarloConfig;
 use crate::sim::{
@@ -72,7 +73,7 @@ pub enum ScenarioError {
 }
 
 impl ScenarioError {
-    fn invalid(field: impl Into<String>, message: impl Into<String>) -> ScenarioError {
+    pub(crate) fn invalid(field: impl Into<String>, message: impl Into<String>) -> ScenarioError {
         ScenarioError::Invalid {
             field: field.into(),
             message: message.into(),
@@ -139,6 +140,18 @@ pub enum WorkloadSource {
     Trace(String),
 }
 
+impl WorkloadSource {
+    /// Reads a workload spec: `"apex"`, or else a trace spec (a job-log
+    /// path or a `synthetic:...` generator spec, validated when the
+    /// scenario compiles).
+    pub fn from_spec(spec: &str) -> WorkloadSource {
+        match spec {
+            "apex" => WorkloadSource::Apex,
+            spec => WorkloadSource::Trace(spec.to_string()),
+        }
+    }
+}
+
 /// Upper bound on geometric hierarchy depth. Real deployments stage
 /// through a handful of levels; far past this, `geometric_tiers`'
 /// exponential capacity scaling overflows `f64` anyway, so absurd depths
@@ -166,94 +179,64 @@ impl TiersSpec {
     }
 }
 
-/// The axis a sweep varies.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SweepAxis {
-    /// Aggregate PFS bandwidth in GB/s (paper Figure 1).
-    Bandwidth,
-    /// Node MTBF in years (paper Figure 2).
-    Mtbf,
-    /// Storage-hierarchy depth (beyond the paper).
-    Tiers,
-    /// Weibull failure-law shape, mean-matched to the platform MTBF
-    /// (shape `< 1` = infant mortality; `1` = exponential).
-    WeibullShape,
-    /// Checkpoint-write draw over compute draw (`ρ_ckpt / ρ_comp`). The
-    /// only axis whose metric is the *energy* waste ratio; it pins the
-    /// scenario's power model (or the Cielo preset) and rescales its
-    /// checkpoint and recovery draws per point.
-    PowerRatio,
-    /// Share of failures that are *node-local* (severity 1: the victim's
-    /// node-local checkpoint copy dies with it, every shared tier
-    /// survives) rather than system-wide; each point installs the
-    /// two-class mix `{local: x, system: 1 − x}` at the platform's
-    /// unchanged total failure rate. `x = 0` is the paper's model.
-    LocalFailureShare,
-    /// Fraction of each job's memory footprint written per checkpoint
-    /// (the comd-ft progress-rate study): each point scales every
-    /// class's checkpoint volume to `f ×` its nominal size. Values live
-    /// in `(0, 1]`; pair with the `exascale` platform preset to
-    /// reproduce the study's operating point.
-    CkptMemFraction,
-}
-
-impl SweepAxis {
-    /// The spec string (`"bandwidth"`, `"mtbf"`, `"tiers"`,
-    /// `"weibull-shape"`, `"power-ratio"`).
-    pub fn as_str(self) -> &'static str {
-        match self {
-            SweepAxis::Bandwidth => "bandwidth",
-            SweepAxis::Mtbf => "mtbf",
-            SweepAxis::Tiers => "tiers",
-            SweepAxis::WeibullShape => "weibull-shape",
-            SweepAxis::PowerRatio => "power-ratio",
-            SweepAxis::LocalFailureShare => "local-failure-share",
-            SweepAxis::CkptMemFraction => "ckpt-mem-fraction",
-        }
-    }
-
-    /// Default swept values when a sweep names only the axis.
-    pub fn default_values(self) -> Vec<f64> {
-        match self {
-            SweepAxis::Bandwidth => vec![40.0, 60.0, 80.0, 100.0, 120.0, 140.0, 160.0],
-            SweepAxis::Mtbf => vec![2.0, 4.0, 10.0, 20.0, 50.0],
-            SweepAxis::Tiers => vec![0.0, 1.0, 2.0, 3.0],
-            SweepAxis::WeibullShape => vec![0.5, 0.7, 1.0, 1.5, 2.0],
-            SweepAxis::PowerRatio => vec![0.25, 0.5, 1.0, 2.0, 4.0],
-            SweepAxis::LocalFailureShare => vec![0.0, 0.25, 0.5, 0.75, 0.9],
-            SweepAxis::CkptMemFraction => vec![0.05, 0.1, 0.2, 0.35, 0.5, 0.75, 1.0],
-        }
-    }
-}
-
-impl std::str::FromStr for SweepAxis {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<SweepAxis, String> {
-        match s {
-            "bandwidth" => Ok(SweepAxis::Bandwidth),
-            "mtbf" => Ok(SweepAxis::Mtbf),
-            "tiers" => Ok(SweepAxis::Tiers),
-            "weibull-shape" => Ok(SweepAxis::WeibullShape),
-            "power-ratio" => Ok(SweepAxis::PowerRatio),
-            "local-failure-share" => Ok(SweepAxis::LocalFailureShare),
-            "ckpt-mem-fraction" => Ok(SweepAxis::CkptMemFraction),
-            other => Err(format!(
-                "unknown sweep axis '{other}' \
-                 (bandwidth|mtbf|tiers|weibull-shape|power-ratio|local-failure-share\
-                 |ckpt-mem-fraction)"
-            )),
-        }
-    }
-}
-
 /// An optional sweep: vary one axis, simulate every strategy per point.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Sweep {
-    /// The varied axis.
-    pub axis: SweepAxis,
+    /// The varied axis (one of the sweepable [`AXES`](crate::axis::AXES)).
+    pub axis: &'static Axis,
     /// The swept values (never empty).
     pub values: Vec<f64>,
+}
+
+impl Sweep {
+    /// A sweep over the axis spelled `axis` (`"bandwidth"`, `"mtbf"`,
+    /// ...) at `values`, or at the axis defaults when `None`.
+    pub fn new(axis: &str, values: Option<Vec<f64>>) -> Result<Sweep, ScenarioError> {
+        let axis =
+            crate::axis::sweep_axis(axis).map_err(|e| ScenarioError::invalid("sweep.axis", e))?;
+        let sweep = Sweep {
+            axis,
+            values: values
+                .unwrap_or_else(|| axis.sweep.as_ref().map_or(&[][..], |s| s.defaults).to_vec()),
+        };
+        sweep.check()?;
+        Ok(sweep)
+    }
+
+    /// The axis's sweep spelling.
+    pub fn name(&self) -> &'static str {
+        self.axis.sweep_name()
+    }
+
+    /// Checks the sweep against its axis: sweepable, at least one value,
+    /// every value in the axis domain.
+    pub fn check(&self) -> Result<&'static SweepFacts, ScenarioError> {
+        let facts = self.axis.sweep.as_ref().ok_or_else(|| {
+            ScenarioError::invalid(
+                "sweep.axis",
+                format!("the {} axis cannot be swept", self.axis.key),
+            )
+        })?;
+        if self.values.is_empty() {
+            return Err(ScenarioError::invalid(
+                "sweep.values",
+                "at least one swept value required",
+            ));
+        }
+        for &x in &self.values {
+            if !self.axis.domain.admits(&AxisValue::Num(x)) {
+                return Err(ScenarioError::invalid(
+                    "sweep.values",
+                    format!(
+                        "{} values must be {}, got {x}",
+                        facts.name,
+                        self.axis.domain.describe()
+                    ),
+                ));
+            }
+        }
+        Ok(facts)
+    }
 }
 
 /// One declarative experiment: the single front door to the simulator.
@@ -750,7 +733,7 @@ impl Scenario {
             pairs.push((
                 "sweep".into(),
                 Json::obj([
-                    ("axis", Json::str(sweep.axis.as_str())),
+                    ("axis", Json::str(sweep.name())),
                     (
                         "values",
                         Json::Arr(sweep.values.iter().map(|&v| Json::Num(v)).collect()),
@@ -1288,25 +1271,6 @@ fn class_from_json(v: &Json, path: &str) -> Result<AppClass, ScenarioError> {
     })
 }
 
-/// Validates a `tiers`-axis value list (integers in `0..=MAX_TIER_DEPTH`)
-/// and returns the depths — the single source of the rule for both the
-/// JSON parser and [`crate::experiments::sweep_points`].
-pub(crate) fn validate_tier_counts(values: &[f64]) -> Result<Vec<usize>, ScenarioError> {
-    values
-        .iter()
-        .map(|&v| {
-            if v >= 0.0 && v.fract() == 0.0 && v <= MAX_TIER_DEPTH as f64 {
-                Ok(v as usize)
-            } else {
-                Err(ScenarioError::invalid(
-                    "sweep.values",
-                    format!("tier counts must be integers in 0..={MAX_TIER_DEPTH}, got {v}"),
-                ))
-            }
-        })
-        .collect()
-}
-
 fn tiers_from_json(v: &Json) -> Result<TiersSpec, ScenarioError> {
     if let Some(k) = v.as_u64() {
         if k > MAX_TIER_DEPTH as u64 {
@@ -1600,96 +1564,25 @@ fn power_from_json(v: &Json) -> Result<PowerModel, ScenarioError> {
     Ok(p)
 }
 
-/// Validates the swept values of the `local-failure-share` axis: shares
-/// live in `[0, 1]`.
-pub(crate) fn validate_share_values(values: &[f64]) -> Result<(), ScenarioError> {
-    for &v in values {
-        if !(v.is_finite() && (0.0..=1.0).contains(&v)) {
-            return Err(ScenarioError::invalid(
-                "sweep.values",
-                format!("local-failure-share values must be in [0, 1], got {v}"),
-            ));
-        }
-    }
-    Ok(())
-}
-
-/// Validates the swept values of the `ckpt-mem-fraction` axis: fractions
-/// of the memory footprint live in `(0, 1]`.
-pub(crate) fn validate_fraction_values(values: &[f64]) -> Result<(), ScenarioError> {
-    for &v in values {
-        if !(v.is_finite() && v > 0.0 && v <= 1.0) {
-            return Err(ScenarioError::invalid(
-                "sweep.values",
-                format!("ckpt-mem-fraction values must be in (0, 1], got {v}"),
-            ));
-        }
-    }
-    Ok(())
-}
-
-/// Validates the swept values of the axes that require strictly positive
-/// numbers (Weibull shapes, power ratios).
-pub(crate) fn validate_positive_values(
-    axis: SweepAxis,
-    values: &[f64],
-) -> Result<(), ScenarioError> {
-    for &v in values {
-        if !(v.is_finite() && v > 0.0) {
-            return Err(ScenarioError::invalid(
-                "sweep.values",
-                format!("{} values must be positive, got {v}", axis.as_str()),
-            ));
-        }
-    }
-    Ok(())
-}
-
 fn sweep_from_json(v: &Json) -> Result<Sweep, ScenarioError> {
     let pairs = as_object(v, "sweep")?;
     check_keys(pairs, &["axis", "values"], "sweep")?;
-    let axis: SweepAxis = opt_str_at(pairs, "axis", "sweep")?
-        .ok_or_else(|| ScenarioError::invalid("sweep.axis", "required field is missing"))?
-        .parse()
-        .map_err(|e: String| ScenarioError::invalid("sweep.axis", e))?;
+    let axis = opt_str_at(pairs, "axis", "sweep")?
+        .ok_or_else(|| ScenarioError::invalid("sweep.axis", "required field is missing"))?;
     let values = match field(pairs, "values") {
-        None => axis.default_values(),
-        Some(v) => {
-            let items = v
-                .as_array()
-                .ok_or_else(|| ScenarioError::invalid("sweep.values", "expected an array"))?;
-            let values = items
+        None => None,
+        Some(v) => Some(
+            v.as_array()
+                .ok_or_else(|| ScenarioError::invalid("sweep.values", "expected an array"))?
                 .iter()
                 .map(|item| {
                     item.as_f64()
                         .ok_or_else(|| ScenarioError::invalid("sweep.values", "expected numbers"))
                 })
-                .collect::<Result<Vec<f64>, _>>()?;
-            if values.is_empty() {
-                return Err(ScenarioError::invalid(
-                    "sweep.values",
-                    "at least one swept value required",
-                ));
-            }
-            match axis {
-                SweepAxis::Tiers => {
-                    validate_tier_counts(&values)?;
-                }
-                SweepAxis::WeibullShape | SweepAxis::PowerRatio => {
-                    validate_positive_values(axis, &values)?;
-                }
-                SweepAxis::LocalFailureShare => {
-                    validate_share_values(&values)?;
-                }
-                SweepAxis::CkptMemFraction => {
-                    validate_fraction_values(&values)?;
-                }
-                SweepAxis::Bandwidth | SweepAxis::Mtbf => {}
-            }
-            values
-        }
+                .collect::<Result<Vec<f64>, _>>()?,
+        ),
     };
-    Ok(Sweep { axis, values })
+    Sweep::new(&axis, values)
 }
 
 #[cfg(test)]
@@ -1740,10 +1633,7 @@ mod tests {
             .with_interference(InterferenceKind::Degraded(1.0 / 3.0))
             .with_tier_depth(3)
             .with_sampling(17, 99);
-        sc.sweep = Some(Sweep {
-            axis: SweepAxis::Mtbf,
-            values: vec![2.0, 50.0],
-        });
+        sc.sweep = Some(Sweep::new("mtbf", Some(vec![2.0, 50.0])).unwrap());
         sc.workload_slack = Some(1.25);
         let back = Scenario::parse(&sc.to_json_string()).unwrap();
         assert_eq!(back, sc);
@@ -1893,7 +1783,7 @@ mod tests {
     #[test]
     fn new_sweep_axes_parse_and_validate() {
         let sc = Scenario::parse(r#"{"sweep": {"axis": "weibull-shape"}}"#).unwrap();
-        assert_eq!(sc.sweep.unwrap().axis, SweepAxis::WeibullShape);
+        assert_eq!(sc.sweep.unwrap().name(), "weibull-shape");
         let sc =
             Scenario::parse(r#"{"sweep": {"axis": "power-ratio", "values": [0.5, 2]}}"#).unwrap();
         assert_eq!(sc.sweep.unwrap().values, vec![0.5, 2.0]);
@@ -1987,9 +1877,10 @@ mod tests {
     #[test]
     fn local_failure_share_axis_parses_and_validates() {
         let sc = Scenario::parse(r#"{"sweep": {"axis": "local-failure-share"}}"#).unwrap();
-        let sweep = sc.sweep.unwrap();
-        assert_eq!(sweep.axis, SweepAxis::LocalFailureShare);
-        assert_eq!(sweep.values, SweepAxis::LocalFailureShare.default_values());
+        assert_eq!(
+            sc.sweep,
+            Some(Sweep::new("local-failure-share", None).unwrap())
+        );
         let e = Scenario::parse(r#"{"sweep": {"axis": "local-failure-share", "values": [1.5]}}"#)
             .unwrap_err();
         assert!(e.to_string().contains("[0, 1]"), "{e}");
@@ -1999,8 +1890,8 @@ mod tests {
     fn sweep_defaults_fill_in_axis_values() {
         let sc = Scenario::parse(r#"{"sweep": {"axis": "mtbf"}}"#).unwrap();
         let sweep = sc.sweep.unwrap();
-        assert_eq!(sweep.axis, SweepAxis::Mtbf);
-        assert_eq!(sweep.values, SweepAxis::Mtbf.default_values());
+        assert_eq!(sweep.name(), "mtbf");
+        assert_eq!(sweep.values, [2.0, 4.0, 10.0, 20.0, 50.0]);
     }
 
     #[test]
@@ -2125,9 +2016,10 @@ mod tests {
     #[test]
     fn ckpt_mem_fraction_axis_parses_and_validates() {
         let sc = Scenario::parse(r#"{"sweep": {"axis": "ckpt-mem-fraction"}}"#).unwrap();
-        let sweep = sc.sweep.unwrap();
-        assert_eq!(sweep.axis, SweepAxis::CkptMemFraction);
-        assert_eq!(sweep.values, SweepAxis::CkptMemFraction.default_values());
+        assert_eq!(
+            sc.sweep,
+            Some(Sweep::new("ckpt-mem-fraction", None).unwrap())
+        );
         for doc in [
             r#"{"sweep": {"axis": "ckpt-mem-fraction", "values": [0]}}"#,
             r#"{"sweep": {"axis": "ckpt-mem-fraction", "values": [1.5]}}"#,

@@ -99,18 +99,9 @@ fn build_scenario(
     sc.seed = seed as u64;
     sc.sweep = match pick_sweep % 4 {
         0 => None,
-        1 => Some(Sweep {
-            axis: SweepAxis::Bandwidth,
-            values: vec![bw_gbps, bw_gbps * 2.0],
-        }),
-        2 => Some(Sweep {
-            axis: SweepAxis::Mtbf,
-            values: vec![2.0, alpha + 3.0],
-        }),
-        _ => Some(Sweep {
-            axis: SweepAxis::Tiers,
-            values: vec![0.0, 2.0],
-        }),
+        1 => Some(Sweep::new("bandwidth", Some(vec![bw_gbps, bw_gbps * 2.0])).unwrap()),
+        2 => Some(Sweep::new("mtbf", Some(vec![2.0, alpha + 3.0])).unwrap()),
+        _ => Some(Sweep::new("tiers", Some(vec![0.0, 2.0])).unwrap()),
     };
     if pick_sweep % 2 == 0 {
         sc.workload_slack = Some(1.0 + alpha);
