@@ -27,7 +27,8 @@ COMMANDS:
   theory      Evaluate the Section-4 lower bound (Theorem 1).
   run         Execute one scenario: Monte-Carlo simulate one strategy at
               one operating point (or the file's sweep, if it has one).
-  sweep       Sweep bandwidth, MTBF or tier depth across strategies.
+  sweep       Sweep one axis (bandwidth, MTBF, tier depth, ...) across
+              strategies.
   suite       Execute a campaign suite file (many scenarios / a cartesian
               grid) across a thread pool, with an optional resumable
               on-disk result cache.
@@ -169,10 +170,15 @@ USAGE:
 
 Simulates every strategy at each point of the swept axis and prints one
 row per (x, strategy) with candlestick statistics of the waste ratio.
-The `bandwidth` and `mtbf` axes add the Theorem 1 bound as a
-'Theoretical Model' series; the other axes have no analytic bound. The
-`power-ratio` axis sweeps the checkpoint/compute draw ratio and reports
-the *energy* waste ratio (Aupy et al. time-vs-energy trade-off).
+Each row is exactly the operating point `run` would simulate with the
+axis set to x: the `bandwidth` axis, for one, re-sizes geometric
+`--tiers` to each point's bandwidth. The `bandwidth`, `mtbf` and
+`ckpt-mem-fraction` axes add the Theorem 1 bound as a 'Theoretical
+Model' series; the other axes have no analytic bound. The `power-ratio`
+axis sweeps the checkpoint/compute draw ratio and reports the *energy*
+waste ratio (Aupy et al. time-vs-energy trade-off). Points run on the
+`suite` worker pool (`--threads` is the total) and share simulated
+points with any earlier identical run in the process.
 
 FLAGS:
   --scenario <file>    load a scenario file; flags below override fields
@@ -255,8 +261,9 @@ USAGE:
 
 A suite file declares many scenarios at once: an optional `base` scenario,
 a `grid` of axes whose cartesian product is applied to the base
-(axes: strategy|bandwidth_gbps|mtbf_years|tiers|span_days|samples|seed|
-local_failure_share|workload), and/or an explicit `scenarios` list. A
+(axes: strategy|bandwidth_gbps|mtbf_years|tiers|weibull_shape|
+power_ratio|local_failure_share|ckpt_mem_fraction|span_days|samples|
+seed|workload), and/or an explicit `scenarios` list. A
 plain scenario file is accepted as a one-point suite. Expansion is
 deduplicated and order-stable; each point is auto-named
 `prefix/axis=value/...` (slashes in values become underscores).
@@ -1064,6 +1071,20 @@ mod tests {
         assert!(known_flags("sweep").contains(&"telemetry"));
         assert!(known_flags("suite").contains(&"telemetry"));
         assert!(!known_flags("table1").contains(&"telemetry"));
+    }
+
+    #[test]
+    fn out_of_domain_sweep_values_are_typed_errors() {
+        // These used to panic deep in the simulator (exit 101); `--values`
+        // now meets the same domain rule as a file's `sweep.values`.
+        for (axis, values) in [("bandwidth", "-40"), ("bandwidth", "inf"), ("mtbf", "0")] {
+            let e = sweep(&args(&["sweep", "--axis", axis, "--values", values]))
+                .expect_err("out-of-domain values must be rejected");
+            assert!(
+                e.to_string().contains("sweep.values"),
+                "{axis} {values}: {e}"
+            );
+        }
     }
 
     #[test]

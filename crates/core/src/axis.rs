@@ -148,8 +148,12 @@ pub struct SweepFacts {
     pub energy: bool,
     /// Report notes, each added when its test holds on the compiled base
     /// configuration.
-    pub notes: &'static [(fn(&SimConfig) -> bool, &'static str)],
+    pub notes: &'static [Note],
 }
+
+/// A sweep report note and the test on the compiled base configuration
+/// that adds it.
+pub type Note = (fn(&SimConfig) -> bool, &'static str);
 
 /// Sets one admitted value on a scenario.
 type Setter = fn(Scenario, &AxisValue) -> Result<Scenario, String>;
@@ -183,16 +187,22 @@ impl Axis {
         self.sweep.as_ref().map_or(self.key, |s| s.name)
     }
 
+    /// Checks `value` against the domain.
+    pub fn check(&self, value: &AxisValue) -> Result<(), String> {
+        if self.domain.admits(value) {
+            return Ok(());
+        }
+        Err(format!(
+            "{} values must be {}, got {}",
+            self.sweep_name(),
+            self.domain.describe(),
+            value.label()
+        ))
+    }
+
     /// Sets `value` on `sc`, after checking it against the domain.
     pub fn apply(&self, sc: Scenario, value: &AxisValue) -> Result<Scenario, String> {
-        if !self.domain.admits(value) {
-            return Err(format!(
-                "{} values must be {}, got {}",
-                self.sweep_name(),
-                self.domain.describe(),
-                value.label()
-            ));
-        }
+        self.check(value)?;
         (self.set)(sc, value)
     }
 
@@ -216,21 +226,25 @@ pub fn grid_axis(key: &str) -> Result<&'static Axis, String> {
 
 /// The axis behind a sweep spelling.
 pub fn sweep_axis(name: &str) -> Result<&'static Axis, String> {
-    let sweepable = || {
-        AXES.iter()
-            .filter_map(|a| a.sweep.as_ref().map(|s| (a, s.name)))
-    };
-    sweepable()
-        .find(|(_, n)| *n == name)
-        .map(|(a, _)| a)
+    let sweepable = AXES.iter().filter(|a| a.sweep.is_some());
+    sweepable
+        .clone()
+        .find(|a| a.sweep_name() == name)
         .ok_or_else(|| {
-            let names: Vec<&str> = sweepable().map(|(_, n)| n).collect();
+            let names: Vec<&str> = sweepable.map(Axis::sweep_name).collect();
             format!("unknown sweep axis '{name}' ({})", names.join("|"))
         })
 }
 
-/// No report notes.
-const NO_NOTES: &[(fn(&SimConfig) -> bool, &str)] = &[];
+/// A sweep that reports the roster alone; entries override the rest.
+const PLAIN: SweepFacts = SweepFacts {
+    name: "",
+    defaults: &[],
+    bound: false,
+    tiered_daly: false,
+    energy: false,
+    notes: &[],
+};
 
 /// Every axis. Order is the order error messages list them.
 pub static AXES: &[Axis] = &[
@@ -251,9 +265,7 @@ pub static AXES: &[Axis] = &[
             name: "bandwidth",
             defaults: &[40.0, 60.0, 80.0, 100.0, 120.0, 140.0, 160.0],
             bound: true,
-            tiered_daly: false,
-            energy: false,
-            notes: NO_NOTES,
+            ..PLAIN
         }),
     },
     Axis {
@@ -264,9 +276,7 @@ pub static AXES: &[Axis] = &[
             name: "mtbf",
             defaults: &[2.0, 4.0, 10.0, 20.0, 50.0],
             bound: true,
-            tiered_daly: false,
-            energy: false,
-            notes: NO_NOTES,
+            ..PLAIN
         }),
     },
     Axis {
@@ -276,10 +286,8 @@ pub static AXES: &[Axis] = &[
         sweep: Some(SweepFacts {
             name: "tiers",
             defaults: &[0.0, 1.0, 2.0, 3.0],
-            bound: false,
             tiered_daly: true,
-            energy: false,
-            notes: NO_NOTES,
+            ..PLAIN
         }),
     },
     Axis {
@@ -290,10 +298,7 @@ pub static AXES: &[Axis] = &[
         sweep: Some(SweepFacts {
             name: "weibull-shape",
             defaults: &[0.5, 0.7, 1.0, 1.5, 2.0],
-            bound: false,
-            tiered_daly: false,
-            energy: false,
-            notes: NO_NOTES,
+            ..PLAIN
         }),
     },
     Axis {
@@ -313,10 +318,8 @@ pub static AXES: &[Axis] = &[
         sweep: Some(SweepFacts {
             name: "power-ratio",
             defaults: &[0.25, 0.5, 1.0, 2.0, 4.0],
-            bound: false,
-            tiered_daly: false,
             energy: true,
-            notes: NO_NOTES,
+            ..PLAIN
         }),
     },
     Axis {
@@ -328,9 +331,7 @@ pub static AXES: &[Axis] = &[
         sweep: Some(SweepFacts {
             name: "local-failure-share",
             defaults: &[0.0, 0.25, 0.5, 0.75, 0.9],
-            bound: false,
             tiered_daly: true,
-            energy: false,
             notes: &[
                 (
                     |c| c.tiers.is_empty(),
@@ -346,6 +347,7 @@ pub static AXES: &[Axis] = &[
                      {local, system} two-class mix at every point",
                 ),
             ],
+            ..PLAIN
         }),
     },
     Axis {
@@ -381,9 +383,7 @@ pub static AXES: &[Axis] = &[
             name: "ckpt-mem-fraction",
             defaults: &[0.05, 0.1, 0.2, 0.35, 0.5, 0.75, 1.0],
             bound: true,
-            tiered_daly: false,
-            energy: false,
-            notes: NO_NOTES,
+            ..PLAIN
         }),
     },
     Axis {

@@ -99,7 +99,7 @@ fn sweep_section(
         }
     }
     let mc = scenario.mc();
-    let simulated = run_points(points.len(), scenario.threads, |i, _| {
+    let mut simulated = run_points(points.len(), scenario.threads, |i, _| {
         let results = cache.run_all(&points[i], &mc);
         let metric: Vec<f64> = results
             .iter()
@@ -109,8 +109,8 @@ fn sweep_section(
             })
             .collect();
         Ok::<_, ScenarioError>(Candlestick::from_samples(&metric))
-    })?;
-    let mut simulated = simulated.into_iter();
+    })?
+    .into_iter();
     let section = report.section(
         "sweep",
         [sweep.name(), "series"]

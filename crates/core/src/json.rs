@@ -73,6 +73,7 @@ impl Json {
     /// trailing garbage rejected).
     pub fn parse(text: &str) -> Result<Json, JsonError> {
         let mut p = Parser {
+            text,
             bytes: text.as_bytes(),
             pos: 0,
             depth: 0,
@@ -267,6 +268,7 @@ fn write_string(out: &mut String, s: &str) {
 const MAX_DEPTH: usize = 128;
 
 struct Parser<'a> {
+    text: &'a str,
     bytes: &'a [u8],
     pos: usize,
     depth: usize,
@@ -462,13 +464,14 @@ impl<'a> Parser<'a> {
                     return Err(self.err("unescaped control character in string"))
                 }
                 Some(_) => {
-                    // Consume one full UTF-8 character.
-                    let rest = &self.bytes[self.pos..];
-                    let s = std::str::from_utf8(rest)
-                        .map_err(|_| self.err("invalid UTF-8 in string"))?;
-                    let c = s.chars().next().expect("non-empty by peek");
-                    out.push(c);
-                    self.pos += c.len_utf8();
+                    // A run of plain characters. It ends at an ASCII byte
+                    // (quote, backslash, control) or the end of input, so
+                    // both ends are char boundaries of the source `&str`.
+                    let start = self.pos;
+                    while matches!(self.peek(), Some(b) if b != b'"' && b != b'\\' && b >= 0x20) {
+                        self.pos += 1;
+                    }
+                    out.push_str(&self.text[start..self.pos]);
                 }
             }
         }
@@ -638,6 +641,19 @@ mod tests {
         // Unicode escapes parse too (and surrogate pairs combine).
         let v = Json::parse(r#""\u0041\ud83d\ude00""#).unwrap();
         assert_eq!(v.as_str(), Some("A\u{1F600}"));
+    }
+
+    #[test]
+    fn long_strings_parse_in_linear_time() {
+        // 1 MB of multi-byte characters: a per-character rescan of the
+        // remaining input would take minutes here.
+        let long = "é€😀".repeat(1 << 17);
+        assert!(long.len() > 1 << 20);
+        let text = Json::str(long.clone()).to_string();
+        let start = std::time::Instant::now();
+        assert_eq!(Json::parse(&text).unwrap().as_str(), Some(long.as_str()));
+        let elapsed = start.elapsed();
+        assert!(elapsed.as_secs_f64() < 0.5, "took {elapsed:?}");
     }
 
     #[test]

@@ -224,16 +224,9 @@ impl Sweep {
             ));
         }
         for &x in &self.values {
-            if !self.axis.domain.admits(&AxisValue::Num(x)) {
-                return Err(ScenarioError::invalid(
-                    "sweep.values",
-                    format!(
-                        "{} values must be {}, got {x}",
-                        facts.name,
-                        self.axis.domain.describe()
-                    ),
-                ));
-            }
+            self.axis
+                .check(&AxisValue::Num(x))
+                .map_err(|e| ScenarioError::invalid("sweep.values", e))?;
         }
         Ok(facts)
     }

@@ -1,5 +1,4 @@
-//! Multi-level checkpoint storage hierarchy: the N-tier generalization of
-//! [`burst`](crate::burst).
+//! Multi-level checkpoint storage hierarchy.
 //!
 //! Real platforms stage checkpoints through a chain of stores — node-local
 //! NVRAM, a shared burst buffer, campaign storage — before the parallel
@@ -9,12 +8,12 @@
 //! blocked only for the absorb; durability (usability for restart) arrives
 //! when the final drain lands on the PFS.
 //!
-//! Like [`Pfs`](crate::Pfs) and [`BurstBuffer`](crate::burst::BurstBuffer),
-//! the hierarchy is a *passive, timestamp-driven state machine*: it never
-//! schedules anything itself. The caller (the simulation engine) asks for
-//! admission, runs the absorb for the returned duration, then repeatedly
-//! plans and completes drain hops until the data reaches the PFS. This
-//! keeps the model independent of any event loop and directly testable.
+//! Like [`Pfs`](crate::Pfs), the hierarchy is a *passive,
+//! timestamp-driven state machine*: it never schedules anything itself.
+//! The caller (the simulation engine) asks for admission, runs the absorb
+//! for the returned duration, then repeatedly plans and completes drain
+//! hops until the data reaches the PFS. This keeps the model independent
+//! of any event loop and directly testable.
 //!
 //! Protocol per checkpoint:
 //!

@@ -19,12 +19,11 @@
 //! * [`RequestQueue`] — the pending-request pool used by the token-based
 //!   disciplines (*Ordered*, *Ordered-NB*, *Least-Waste*): FCFS pop for the
 //!   ordered strategies, arbitrary argmin selection for Least-Waste.
-//! * [`burst`] — a two-tier burst-buffer extension (paper Section 8,
-//!   future work), kept as the minimal single-tier reference model.
-//! * [`hierarchy`] — the N-tier generalization: a [`StorageHierarchy`] of
-//!   stacked tiers (node-local → burst buffer → campaign storage → PFS)
-//!   with admission control, deterministic spill, and background drain
-//!   cascades, driven by the same passive timestamp protocol.
+//! * [`hierarchy`] — the multi-level storage extension (paper Section 8,
+//!   future work): a [`StorageHierarchy`] of stacked tiers (node-local →
+//!   burst buffer → campaign storage → PFS) with admission control,
+//!   deterministic spill, and background drain cascades, driven by the
+//!   same passive timestamp protocol.
 //!
 //! # Example: two equal jobs share the PFS
 //!
@@ -43,7 +42,6 @@
 //! # let _ = (a, b);
 //! ```
 
-pub mod burst;
 pub mod hierarchy;
 pub mod interference;
 pub mod pfs;

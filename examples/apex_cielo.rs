@@ -1,6 +1,6 @@
 //! The paper's core comparison in miniature: all seven strategies on the
 //! APEX/Cielo workload at one operating point, with candlestick statistics
-//! over a set of Monte-Carlo instances.
+//! over a set of Monte-Carlo instances — a one-value bandwidth sweep.
 //!
 //! Run with (sample count and bandwidth tunable):
 //!
@@ -8,9 +8,9 @@
 //! cargo run --release --example apex_cielo -- [samples] [bandwidth_gbps]
 //! ```
 
+use coopckpt::experiments::run_scenario;
 use coopckpt::prelude::*;
 use coopckpt_stats::Table;
-use coopckpt_theory::{lower_bound, ClassParams};
 
 fn main() {
     let mut args = std::env::args().skip(1);
@@ -23,43 +23,30 @@ fn main() {
         .map(|s| s.parse().expect("bandwidth must be a number"))
         .unwrap_or(40.0);
 
-    let platform = coopckpt_workload::cielo().with_bandwidth(Bandwidth::from_gbps(gbps));
-    let classes = coopckpt_workload::classes_for(&platform);
+    // The Cielo preset with its 14-day default span; the sweep's one
+    // value sets the bandwidth, and its rows are the seven strategies
+    // plus the Theorem 1 bound.
+    let mut scenario = Scenario::default().with_sampling(samples, 1);
+    scenario.sweep = Some(Sweep::new("bandwidth", Some(vec![gbps])).expect("valid bandwidth"));
+    let platform = scenario
+        .clone()
+        .with_bandwidth_gbps(gbps)
+        .resolve_platform()
+        .expect("valid platform");
     println!(
         "APEX on {} at {} — {} instances per strategy, 14-day span\n",
         platform.name, platform.pfs_bandwidth, samples
     );
 
-    let mc = MonteCarloConfig::new(samples);
+    let report = run_scenario(&scenario).expect("valid scenario");
     let mut table = Table::new(["strategy", "mean", "d1", "q1", "q3", "d9"]);
-    for strategy in Strategy::all_seven() {
-        let config = SimConfig::new(platform.clone(), classes.clone(), strategy)
-            .with_span(Duration::from_days(14.0));
-        let stats = run_many(&config, &mc).candlestick();
-        table.row([
-            strategy.name(),
-            format!("{:.3}", stats.mean),
-            format!("{:.3}", stats.d1),
-            format!("{:.3}", stats.q1),
-            format!("{:.3}", stats.q3),
-            format!("{:.3}", stats.d9),
-        ]);
+    for row in &report.sections[0].rows {
+        // Sweep columns: bandwidth, series, mean, d1, q1, median, q3, d9, n.
+        table.row([1, 2, 3, 4, 6, 7].map(|i| match &row[i] {
+            Cell::Float { value, .. } => format!("{value:.3}"),
+            other => other.display(),
+        }));
     }
-
-    let params: Vec<ClassParams> = classes
-        .iter()
-        .map(|c| ClassParams::from_app_class(c, &platform))
-        .collect();
-    let bound = lower_bound(&platform, &params);
-    let w = format!("{:.3}", bound.waste);
-    table.row([
-        "Theoretical Model".to_string(),
-        w.clone(),
-        w.clone(),
-        w.clone(),
-        w.clone(),
-        w,
-    ]);
 
     print!("{}", table.to_text());
     println!("\n(waste ratio; lower is better — compare with the paper's Figure 1/2)");

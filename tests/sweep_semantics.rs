@@ -12,10 +12,12 @@
 //!   error naming `sweep.values`, whether they arrive from a file or are
 //!   set programmatically (the `--values` flag's path).
 
+use coopckpt::axis::sweep_axis;
 use coopckpt::experiments::{local_failure_mix, run_scenario_with_cache};
 use coopckpt::prelude::*;
 use coopckpt::report::candlestick_cells;
 use coopckpt::sim::FailureModel;
+use std::path::PathBuf;
 
 /// The 3-tier Cielo stack at 40 GB/s: a 1-day span, two samples.
 const BASE: &str = r#""platform": {"preset": "cielo", "bandwidth_gbps": 40},
@@ -118,4 +120,44 @@ fn every_sweep_row_equals_run_at_its_operating_point() {
         "sweep rows differ from run at their operating points:\n{}",
         mismatches.join("\n")
     );
+}
+
+#[test]
+fn sweeps_share_work_through_the_operating_point_cache() {
+    let path = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("scenarios/apex_workload.json");
+    let sc = Scenario::load(path).expect("preset loads");
+    let cache = OpPointCache::new();
+    let first = run_scenario_with_cache(&sc, &cache).expect("sweep runs");
+    // Two bandwidths × the seven strategies, each simulated once...
+    assert_eq!(cache.len(), 14);
+    // ...and served from the cache on a rerun.
+    let second = run_scenario_with_cache(&sc, &cache).expect("sweep reruns");
+    assert_eq!(cache.len(), 14);
+    assert_eq!(first, second);
+}
+
+#[test]
+fn out_of_domain_sweep_values_are_typed_errors() {
+    let e = Scenario::parse(r#"{"sweep": {"axis": "bandwidth", "values": [-40]}}"#).unwrap_err();
+    assert!(e.to_string().contains("sweep.values"), "{e}");
+    // Set programmatically, past the parser: the run rejects them before
+    // any point compiles (they used to panic inside the simulator).
+    for (axis, bad) in [
+        ("bandwidth", -40.0),
+        ("bandwidth", f64::INFINITY),
+        ("mtbf", 0.0),
+        ("tiers", 1.5),
+        ("weibull-shape", f64::NAN),
+        ("power-ratio", -1.0),
+        ("local-failure-share", 1.5),
+        ("ckpt-mem-fraction", 0.0),
+    ] {
+        let mut sc = base();
+        sc.sweep = Some(Sweep {
+            axis: sweep_axis(axis).expect("a sweep axis"),
+            values: vec![bad],
+        });
+        let e = run_scenario_with_cache(&sc, &OpPointCache::new()).unwrap_err();
+        assert!(e.to_string().contains("sweep.values"), "{axis} {bad}: {e}");
+    }
 }

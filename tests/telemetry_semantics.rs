@@ -3,7 +3,7 @@
 //! * **Bit identity** — rendered reports (text, CSV, JSON) are identical
 //!   with telemetry on and off, across strategies and tier depths; the
 //!   top-level `run_scenario` adds exactly one `telemetry` section and
-//!   nothing else.
+//!   one journal record, for a single point and a sweep alike.
 //! * **Counter sanity** — conservation laws hold: queue inserts ≥ pops,
 //!   op-cache hits + misses = lookups, one sample span per Monte-Carlo
 //!   instance.
@@ -101,26 +101,34 @@ fn reports_are_bit_identical_with_telemetry_on_and_off() {
 #[test]
 fn top_level_run_appends_exactly_one_telemetry_section() {
     let _gate = telemetry_test();
-    let sc = scenario("least-waste", 0);
-    coopckpt_obs::set_enabled(false);
-    let off = run_scenario(&sc).expect("telemetry-off run");
-    coopckpt_obs::init(None).expect("counters-only init");
-    let mut on = run_scenario(&sc).expect("telemetry-on run");
-    coopckpt_obs::set_enabled(false);
+    let mut sweep = scenario("least-waste", 0);
+    sweep.sweep = Some(Sweep::new("mtbf", Some(vec![2.0, 20.0])).expect("valid sweep"));
+    for sc in [scenario("least-waste", 0), sweep] {
+        let label = sc.name.clone().expect("named");
+        coopckpt_obs::set_enabled(false);
+        let off = run_scenario(&sc).expect("telemetry-off run");
+        let path = scratch("top_level");
+        coopckpt_obs::init(Some(&path)).expect("journal opens");
+        let mut on = run_scenario(&sc).expect("telemetry-on run");
+        coopckpt_obs::set_enabled(false);
+        let journal = std::fs::read_to_string(&path).expect("journal readable");
+        std::fs::remove_file(&path).ok();
 
-    assert_eq!(on.sections.len(), off.sections.len() + 1);
-    assert_eq!(
-        on.sections.last().expect("nonempty").name,
-        TELEMETRY_SECTION,
-        "the telemetry section is appended last"
-    );
-    on.sections.retain(|s| s.name != TELEMETRY_SECTION);
-    for format in FORMATS {
+        assert_eq!(journal.lines().count(), 1, "{label}: one journal record");
+        assert_eq!(on.sections.len(), off.sections.len() + 1, "{label}");
         assert_eq!(
-            off.render(format),
-            on.render(format),
-            "stripping the telemetry section must restore the off report ({format:?})"
+            on.sections.last().expect("nonempty").name,
+            TELEMETRY_SECTION,
+            "{label}: the telemetry section is appended last"
         );
+        on.sections.retain(|s| s.name != TELEMETRY_SECTION);
+        for format in FORMATS {
+            assert_eq!(
+                off.render(format),
+                on.render(format),
+                "{label}: stripping the telemetry section must restore the off report ({format:?})"
+            );
+        }
     }
 }
 

@@ -7,10 +7,11 @@
 //! * **Wrapping seeds** — library-level Monte-Carlo seed arithmetic wraps
 //!   at `u64::MAX` by definition instead of panicking in debug builds,
 //!   and wrapped seed ranges overlap unwrapped ones exactly.
-//! * **Thread-identity matrix** — single-big-point and many-small-point
-//!   suites render bit-identically at `--threads 1`, `2` and `8`, and the
-//!   telemetry journal matches too once its wall-clock/worker-id fields
-//!   (inherently nondeterministic) are stripped.
+//! * **Thread-identity matrix** — single-big-point, many-small-point and
+//!   sweep-point suites render bit-identically at `--threads 1`, `2` and
+//!   `8`, and the telemetry journal matches too once its wall-clock/
+//!   worker-id fields (inherently nondeterministic) are stripped. Direct
+//!   sweeps render identically at any thread count as well.
 //!
 //! The worker-count gauge and the telemetry journal are process-global,
 //! so every test in this binary serializes on a gate and restores the
@@ -19,6 +20,7 @@
 //! tests cannot execute chunks (or journal lines) mid-measurement.
 
 use coopckpt::campaign::{run_suite, CampaignOptions, Suite};
+use coopckpt::experiments::run_scenario_with_cache;
 use coopckpt::json::Json;
 use coopckpt::prelude::*;
 use std::path::PathBuf;
@@ -79,6 +81,24 @@ fn many_small_points_suite() -> Suite {
     .expect("many-small suite parses")
 }
 
+/// A small MTBF sweep on Cielo: two values × (seven strategies + the
+/// bound). As a file it is also a one-point suite.
+const SWEEP_DOC: &str = r#"{
+    "name": "sweep",
+    "platform": {"preset": "cielo", "bandwidth_gbps": 40},
+    "span_days": 0.25,
+    "samples": 2,
+    "seed": 7,
+    "sweep": {"axis": "mtbf", "values": [2, 20]}
+}"#;
+
+/// The sweep run directly at `threads`, against a fresh cache.
+fn sweep_at(threads: usize) -> Report {
+    let mut sc = Scenario::parse(SWEEP_DOC).expect("sweep parses");
+    sc.threads = threads;
+    run_scenario_with_cache(&sc, &OpPointCache::new()).expect("sweep runs")
+}
+
 fn run_at(suite: &Suite, threads: usize) -> coopckpt::campaign::Campaign {
     // A fresh operating-point cache per run so every thread count really
     // recomputes — the shared global cache would mask scheduling bugs.
@@ -119,6 +139,23 @@ fn suite_threads_1_runs_exactly_one_simulation_worker() {
     assert!(
         (1..=4).contains(&peak),
         "--threads 4 ran {peak} concurrent unit workers"
+    );
+
+    // A sweep runs its points on the same worker loop: directly, and as
+    // a suite point feeding the campaign's pool.
+    coopckpt_sched::exec::reset_unit_worker_peak();
+    sweep_at(1);
+    assert_eq!(
+        coopckpt_sched::exec::unit_worker_peak(),
+        1,
+        "a --threads 1 sweep must never run two simulation units concurrently"
+    );
+    coopckpt_sched::exec::reset_unit_worker_peak();
+    run_at(&Suite::parse(SWEEP_DOC).expect("sweep suite parses"), 1);
+    assert_eq!(
+        coopckpt_sched::exec::unit_worker_peak(),
+        1,
+        "a sweep run as a --threads 1 suite point must stay on one worker"
     );
 }
 
@@ -187,6 +224,10 @@ fn thread_identity_matrix_with_telemetry_journal() {
     for (shape, suite) in [
         ("single-big-point", single_big_point_suite(24)),
         ("many-small-points", many_small_points_suite()),
+        (
+            "sweep-point",
+            Suite::parse(SWEEP_DOC).expect("sweep suite parses"),
+        ),
     ] {
         let mut baseline: Option<((String, String, String), Vec<String>)> = None;
         for threads in [1usize, 2, 8] {
@@ -226,5 +267,26 @@ fn thread_identity_matrix_with_telemetry_journal() {
                 }
             }
         }
+    }
+}
+
+#[test]
+fn direct_sweeps_render_identically_at_any_thread_count() {
+    let _gate = threading_test();
+    let single = sweep_at(1);
+    for threads in [2, 8] {
+        let multi = sweep_at(threads);
+        // The scenario echo carries the `threads` knob itself; everything
+        // the sweep computed must not move.
+        assert_eq!(
+            single.notes, multi.notes,
+            "notes differ at --threads {threads}"
+        );
+        assert_eq!(
+            single.sections, multi.sections,
+            "sweep differs at --threads {threads}"
+        );
+        assert_eq!(single.to_text(), multi.to_text());
+        assert_eq!(single.to_csv(), multi.to_csv());
     }
 }
