@@ -24,7 +24,7 @@
 
 use coopckpt::experiments::run_scenario;
 use coopckpt::prelude::*;
-use coopckpt_bench::{banner, cielo_scenario, emit_report, BenchScale};
+use coopckpt_bench::{banner, cielo_scenario, emit_report, sweep_mean, BenchScale};
 use coopckpt_model::{daly_period_energy, young_daly_period};
 
 fn main() {
@@ -44,25 +44,7 @@ fn main() {
 
     // The acceptance claim: at a fixed (time-optimal) period, pricier
     // checkpoint writes strictly raise the energy waste.
-    let sweep = report
-        .sections
-        .iter()
-        .find(|s| s.name == "sweep")
-        .expect("sweep reports carry a sweep section");
-    let mean_of = |series: &str, x: f64| -> f64 {
-        sweep
-            .rows
-            .iter()
-            .find(|row| match (&row[0], &row[1]) {
-                (Cell::Float { value, .. }, Cell::Text(s)) => *value == x && s == series,
-                _ => false,
-            })
-            .and_then(|row| match &row[2] {
-                Cell::Float { value, .. } => Some(*value),
-                _ => None,
-            })
-            .expect("sweep covers this point")
-    };
+    let mean_of = |series: &str, x: f64| sweep_mean(&report, series, x);
     let cheap = mean_of("Least-Waste", 0.25);
     let dear = mean_of("Least-Waste", 4.0);
     println!(

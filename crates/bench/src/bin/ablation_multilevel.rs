@@ -25,7 +25,7 @@
 
 use coopckpt::experiments::run_scenario;
 use coopckpt::prelude::*;
-use coopckpt_bench::{banner, cielo_scenario, emit_report, BenchScale};
+use coopckpt_bench::{banner, cielo_scenario, emit_report, sweep_mean, BenchScale};
 
 fn main() {
     let scale = BenchScale::from_env();
@@ -42,25 +42,7 @@ fn main() {
 
     // The acceptance claim: 3 tiers beat PFS-only for the blocking
     // discipline at equal PFS bandwidth.
-    let sweep = report
-        .sections
-        .iter()
-        .find(|s| s.name == "sweep")
-        .expect("sweep reports carry a sweep section");
-    let mean_of = |series: &str, x: f64| -> f64 {
-        sweep
-            .rows
-            .iter()
-            .find(|row| match (&row[0], &row[1]) {
-                (Cell::Float { value, .. }, Cell::Text(s)) => *value == x && s == series,
-                _ => false,
-            })
-            .and_then(|row| match &row[2] {
-                Cell::Float { value, .. } => Some(*value),
-                _ => None,
-            })
-            .expect("sweep covers this point")
-    };
+    let mean_of = |series: &str, x: f64| sweep_mean(&report, series, x);
     let baseline = mean_of("Ordered-Daly", 0.0);
     let three = mean_of("Ordered-Daly", 3.0);
     println!(

@@ -25,7 +25,7 @@
 
 use coopckpt::experiments::run_scenario;
 use coopckpt::prelude::*;
-use coopckpt_bench::{banner, cielo_scenario, emit_report, BenchScale};
+use coopckpt_bench::{banner, cielo_scenario, emit_report, sweep_mean, BenchScale};
 use coopckpt_model::{
     class_restore_costs, expected_restore_cost, steady_state_waste_mix, young_daly_period,
 };
@@ -49,25 +49,7 @@ fn main() {
 
     // The acceptance claim: shifting failures from system severity to
     // node-local severity (same total rate) strictly cuts the waste.
-    let sweep = report
-        .sections
-        .iter()
-        .find(|s| s.name == "sweep")
-        .expect("sweep reports carry a sweep section");
-    let mean_of = |series: &str, x: f64| -> f64 {
-        sweep
-            .rows
-            .iter()
-            .find(|row| match (&row[0], &row[1]) {
-                (Cell::Float { value, .. }, Cell::Text(s)) => *value == x && s == series,
-                _ => false,
-            })
-            .and_then(|row| match &row[2] {
-                Cell::Float { value, .. } => Some(*value),
-                _ => None,
-            })
-            .expect("sweep covers this point")
-    };
+    let mean_of = |series: &str, x: f64| sweep_mean(&report, series, x);
     let all_system = mean_of("Tiered-Daly", 0.0);
     let mostly_local = mean_of("Tiered-Daly", 0.9);
     println!(

@@ -1075,8 +1075,7 @@ mod tests {
 
     #[test]
     fn out_of_domain_sweep_values_are_typed_errors() {
-        // These used to panic deep in the simulator (exit 101); `--values`
-        // now meets the same domain rule as a file's `sweep.values`.
+        // `--values` meets the same domain rule as a file's `sweep.values`.
         for (axis, values) in [("bandwidth", "-40"), ("bandwidth", "inf"), ("mtbf", "0")] {
             let e = sweep(&args(&["sweep", "--axis", axis, "--values", values]))
                 .expect_err("out-of-domain values must be rejected");

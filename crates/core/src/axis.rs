@@ -35,7 +35,7 @@ pub enum AxisValue {
 impl AxisValue {
     /// The value's label in auto-generated grid point names (numbers use
     /// Rust's shortest round-trip formatting, so `40.0` labels as `40`).
-    pub fn label(&self) -> String {
+    pub(crate) fn label(&self) -> String {
         match self {
             AxisValue::Num(x) => format!("{x}"),
             AxisValue::Strategy(s) => s.spec_name(),
@@ -77,7 +77,7 @@ const MAX_EXACT_INT: f64 = 9_007_199_254_740_992.0;
 
 impl Domain {
     /// What the domain admits, for error messages.
-    pub fn describe(self) -> String {
+    pub(crate) fn describe(self) -> String {
         match self {
             Domain::Strategy => "strategy spec names".to_string(),
             Domain::Workload => "workload specs (\"apex\", a trace path, or synthetic:...)".into(),
@@ -91,7 +91,7 @@ impl Domain {
     }
 
     /// Whether `value` lies in the domain.
-    pub fn admits(self, value: &AxisValue) -> bool {
+    pub(crate) fn admits(self, value: &AxisValue) -> bool {
         let x = match (self, value) {
             (Domain::Strategy, AxisValue::Strategy(_)) => return true,
             (Domain::Workload, AxisValue::Workload(_)) => return true,
@@ -188,7 +188,7 @@ impl Axis {
     }
 
     /// Checks `value` against the domain.
-    pub fn check(&self, value: &AxisValue) -> Result<(), String> {
+    pub(crate) fn check(&self, value: &AxisValue) -> Result<(), String> {
         if self.domain.admits(value) {
             return Ok(());
         }
@@ -201,13 +201,13 @@ impl Axis {
     }
 
     /// Sets `value` on `sc`, after checking it against the domain.
-    pub fn apply(&self, sc: Scenario, value: &AxisValue) -> Result<Scenario, String> {
+    pub(crate) fn apply(&self, sc: Scenario, value: &AxisValue) -> Result<Scenario, String> {
         self.check(value)?;
         (self.set)(sc, value)
     }
 
     /// Parses a `grid` entry: a non-empty array of domain values.
-    pub fn parse_values(&self, v: &Json) -> Result<Vec<AxisValue>, String> {
+    pub(crate) fn parse_values(&self, v: &Json) -> Result<Vec<AxisValue>, String> {
         let items = v.as_array().ok_or("expected an array of values")?;
         if items.is_empty() {
             return Err("axis must list values".to_string());
@@ -217,7 +217,7 @@ impl Axis {
 }
 
 /// The axis behind a suite-file `grid` key.
-pub fn grid_axis(key: &str) -> Result<&'static Axis, String> {
+pub(crate) fn grid_axis(key: &str) -> Result<&'static Axis, String> {
     AXES.iter().find(|a| a.key == key).ok_or_else(|| {
         let keys: Vec<&str> = AXES.iter().map(|a| a.key).collect();
         format!("unknown grid axis (expected {})", keys.join("|"))
@@ -225,7 +225,7 @@ pub fn grid_axis(key: &str) -> Result<&'static Axis, String> {
 }
 
 /// The axis behind a sweep spelling.
-pub fn sweep_axis(name: &str) -> Result<&'static Axis, String> {
+pub(crate) fn sweep_axis(name: &str) -> Result<&'static Axis, String> {
     let sweepable = AXES.iter().filter(|a| a.sweep.is_some());
     sweepable
         .clone()

@@ -283,37 +283,23 @@ impl Suite {
                     idx[d] = rem % dim;
                     rem /= dim;
                 }
-                let at = || {
-                    self.grid
-                        .iter()
-                        .zip(&idx)
-                        .map(|((axis, values), &i)| (axis, &values[i]))
-                };
-                // `/` separates the name's axis segments (and these names
-                // become file-ish labels downstream), so values carrying
-                // one — trace paths — are flattened to `_`.
-                let label: Vec<String> = at()
-                    .map(|(axis, value)| {
-                        format!("{}={}", axis.key, value.label().replace('/', "_"))
-                    })
-                    .collect();
+                let mut sc = self.base.clone();
+                let mut label = Vec::with_capacity(self.grid.len());
+                for ((axis, values), &i) in self.grid.iter().zip(&idx) {
+                    sc = axis
+                        .apply(sc, &values[i])
+                        .map_err(|e| CampaignError::invalid(format!("grid.{}", axis.key), e))?;
+                    // `/` separates the name's axis segments (and these
+                    // names become file-ish labels downstream), so values
+                    // carrying one — trace paths — are flattened to `_`.
+                    let value = values[i].label().replace('/', "_");
+                    label.push(format!("{}={}", axis.key, value));
+                }
                 let label = label.join("/");
                 let name = match &prefix {
                     Some(p) => format!("{p}/{label}"),
                     None => label,
                 };
-                let mut sc = self.base.clone();
-                for (axis, value) in at() {
-                    sc = axis
-                        .apply(sc, value)
-                        .map_err(|message| CampaignError::Point {
-                            name: name.clone(),
-                            source: ScenarioError::Invalid {
-                                field: format!("grid.{}", axis.key),
-                                message,
-                            },
-                        })?;
-                }
                 sc.name = Some(name);
                 points.push(sc);
             }
@@ -673,7 +659,7 @@ pub fn run_suite(suite: &Suite, opts: &CampaignOptions) -> Result<Campaign, Camp
 }
 
 /// Executes every expanded point of `suite` on the shared worker loop
-/// ([`run_points`]) and merges the results in expansion order.
+/// (`montecarlo::run_points`) and merges the results in expansion order.
 ///
 /// `opts.threads` (0 = one per core) is the **total** simulation thread
 /// count, honored end to end: workers claim points and steal each other's

@@ -769,13 +769,26 @@ mod tests {
 
     #[test]
     fn fractional_tier_sweep_is_rejected() {
-        let t = template();
-        let mut sc = Scenario::from_config(&t);
-        sc.sweep = Some(Sweep {
-            axis: crate::axis::sweep_axis("tiers").unwrap(),
-            values: vec![0.5],
-        });
-        assert!(run_scenario(&sc).is_err());
+        // Values set past the parser (the `--values` path) meet the axis
+        // domain before any point compiles, as a typed error.
+        for (axis, bad) in [
+            ("tiers", 0.5),
+            ("bandwidth", -40.0),
+            ("bandwidth", f64::INFINITY),
+            ("mtbf", 0.0),
+            ("weibull-shape", f64::NAN),
+            ("power-ratio", -1.0),
+            ("local-failure-share", 1.5),
+            ("ckpt-mem-fraction", 0.0),
+        ] {
+            let mut sc = Scenario::from_config(&template());
+            sc.sweep = Some(Sweep {
+                axis: crate::axis::sweep_axis(axis).unwrap(),
+                values: vec![bad],
+            });
+            let e = run_scenario(&sc).unwrap_err();
+            assert!(e.to_string().contains("sweep.values"), "{axis} {bad}: {e}");
+        }
     }
 
     #[test]

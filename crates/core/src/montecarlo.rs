@@ -12,7 +12,7 @@
 //! submitted there as seed-range chunks and the calling thread joins it —
 //! executing chunks itself while idle campaign workers steal the rest, so
 //! one big point saturates every worker without spawning extra threads.
-//! [`run_points`] is the worker loop that installs it, for campaign
+//! `run_points` is the worker loop that installs it, for campaign
 //! suites and sweeps alike. Without an ambient pool (a plain `run`), a
 //! transient standalone pool of `mc.threads` threads runs the batch.
 
@@ -127,7 +127,7 @@ pub fn sim_pool(workers: usize) -> Arc<SimPool> {
 /// worker running a sweep point), the points run here, in order, and
 /// their chunks feed that pool instead: the campaign's thread count
 /// stays the total. Workers record telemetry into the caller's scope.
-pub fn run_points<T, E, F>(n: usize, threads: usize, task: F) -> Result<Vec<T>, E>
+pub(crate) fn run_points<T, E, F>(n: usize, threads: usize, task: F) -> Result<Vec<T>, E>
 where
     T: Send,
     E: Send,

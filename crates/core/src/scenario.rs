@@ -1703,6 +1703,10 @@ mod tests {
                 r#"{"sweep": {"axis": "tiers", "values": [1.5]}}"#,
                 "sweep.values",
             ),
+            (
+                r#"{"sweep": {"axis": "bandwidth", "values": [-40]}}"#,
+                "sweep.values",
+            ),
             (r#"{"workload": {"classes": []}}"#, "workload.classes"),
             (r#"{"span_days": -1}"#, "span"),
         ] {

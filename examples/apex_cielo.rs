@@ -28,11 +28,7 @@ fn main() {
     // plus the Theorem 1 bound.
     let mut scenario = Scenario::default().with_sampling(samples, 1);
     scenario.sweep = Some(Sweep::new("bandwidth", Some(vec![gbps])).expect("valid bandwidth"));
-    let platform = scenario
-        .clone()
-        .with_bandwidth_gbps(gbps)
-        .resolve_platform()
-        .expect("valid platform");
+    let platform = coopckpt_workload::cielo().with_bandwidth(Bandwidth::from_gbps(gbps));
     println!(
         "APEX on {} at {} — {} instances per strategy, 14-day span\n",
         platform.name, platform.pfs_bandwidth, samples

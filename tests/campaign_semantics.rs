@@ -202,6 +202,10 @@ fn bad_suites_are_rejected_with_field_context() {
             r#"{"grid": {"local_failure_share": [1.5]}}"#,
             "local_failure_share",
         ),
+        (
+            r#"{"grid": {"ckpt_mem_fraction": [1.5]}}"#,
+            "ckpt_mem_fraction",
+        ),
         (r#"{"base": {}, "rocket": 1}"#, "rocket"),
         (r#"{"base": {}, "scenarios": "nope"}"#, "scenarios"),
     ] {

@@ -8,11 +8,9 @@
 //!   `run --bandwidth x --tiers k` does.)
 //! * **Shared work** — sweep points are fetched through the caller's
 //!   operating-point cache: a second identical sweep simulates nothing.
-//! * **Typed errors** — values outside an axis's domain fail with an
-//!   error naming `sweep.values`, whether they arrive from a file or are
-//!   set programmatically (the `--values` flag's path).
+//! * **One axis system** — suite grids take every sweep axis under its
+//!   grid key, with the same domains and the same setters.
 
-use coopckpt::axis::sweep_axis;
 use coopckpt::experiments::{local_failure_mix, run_scenario_with_cache};
 use coopckpt::prelude::*;
 use coopckpt::report::candlestick_cells;
@@ -137,27 +135,31 @@ fn sweeps_share_work_through_the_operating_point_cache() {
 }
 
 #[test]
-fn out_of_domain_sweep_values_are_typed_errors() {
-    let e = Scenario::parse(r#"{"sweep": {"axis": "bandwidth", "values": [-40]}}"#).unwrap_err();
-    assert!(e.to_string().contains("sweep.values"), "{e}");
-    // Set programmatically, past the parser: the run rejects them before
-    // any point compiles (they used to panic inside the simulator).
-    for (axis, bad) in [
-        ("bandwidth", -40.0),
-        ("bandwidth", f64::INFINITY),
-        ("mtbf", 0.0),
-        ("tiers", 1.5),
-        ("weibull-shape", f64::NAN),
-        ("power-ratio", -1.0),
-        ("local-failure-share", 1.5),
-        ("ckpt-mem-fraction", 0.0),
-    ] {
-        let mut sc = base();
-        sc.sweep = Some(Sweep {
-            axis: sweep_axis(axis).expect("a sweep axis"),
-            values: vec![bad],
-        });
-        let e = run_scenario_with_cache(&sc, &OpPointCache::new()).unwrap_err();
-        assert!(e.to_string().contains("sweep.values"), "{axis} {bad}: {e}");
-    }
+fn suite_grids_take_every_sweep_axis() {
+    let suite = Suite::parse(
+        r#"{
+            "name": "g",
+            "base": {"span_days": 1, "samples": 1},
+            "grid": {"weibull_shape": [0.7], "power_ratio": [2], "ckpt_mem_fraction": [0.5]}
+        }"#,
+    )
+    .expect("suite parses");
+    let points = suite.expand().expect("grid expands");
+    // Each axis set in document order, exactly as a sweep sets it.
+    let base = Scenario::parse(r#"{"span_days": 1, "samples": 1}"#).expect("base parses");
+    let weibull = point("weibull-shape", base, 0.7);
+    let expected = point("ckpt-mem-fraction", point("power-ratio", weibull, 2.0), 0.5);
+    assert_eq!(
+        points,
+        [expected.with_name("g/weibull_shape=0.7/power_ratio=2/ckpt_mem_fraction=0.5")]
+    );
+    // The setters' own errors name the point and the axis.
+    let e = Suite::parse(
+        r#"{"base": {"workload": {"trace": "synthetic:jobs=20,seed=1"}},
+            "grid": {"ckpt_mem_fraction": [0.5]}}"#,
+    )
+    .expect("suite parses")
+    .expand()
+    .unwrap_err();
+    assert!(e.to_string().contains("trace"), "{e}");
 }
