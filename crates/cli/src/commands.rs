@@ -177,8 +177,7 @@ axis set to x: the `bandwidth` axis, for one, re-sizes geometric
 Model' series; the other axes have no analytic bound. The `power-ratio`
 axis sweeps the checkpoint/compute draw ratio and reports the *energy*
 waste ratio (Aupy et al. time-vs-energy trade-off). Points run on the
-`suite` worker pool (`--threads` is the total) and share simulated
-points with any earlier identical run in the process.
+`suite` worker pool; `--threads` is the total thread count.
 
 FLAGS:
   --scenario <file>    load a scenario file; flags below override fields
