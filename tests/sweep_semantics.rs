@@ -153,13 +153,14 @@ fn suite_grids_take_every_sweep_axis() {
         points,
         [expected.with_name("g/weibull_shape=0.7/power_ratio=2/ckpt_mem_fraction=0.5")]
     );
-    // The setters' own errors name the point and the axis.
+    // A setter's own error is a typed error naming the grid axis.
     let e = Suite::parse(
         r#"{"base": {"workload": {"trace": "synthetic:jobs=20,seed=1"}},
             "grid": {"ckpt_mem_fraction": [0.5]}}"#,
     )
     .expect("suite parses")
     .expand()
-    .unwrap_err();
-    assert!(e.to_string().contains("trace"), "{e}");
+    .unwrap_err()
+    .to_string();
+    assert!(e.contains("grid.ckpt_mem_fraction") && e.contains("trace"), "{e}");
 }
