@@ -257,24 +257,106 @@ mod proptests {
     use super::*;
     use proptest::prelude::*;
 
+    /// The pool's contract, one node at a time: an allocation takes the
+    /// `q` lowest-indexed free nodes (or is refused when fewer are free),
+    /// every node has at most one owner, and ids count successful
+    /// allocations from 0. The differential test holds [`NodePool`] to it.
+    struct Model {
+        owner: Vec<Option<usize>>,
+        next_id: usize,
+    }
+
+    impl Model {
+        fn new(nodes: usize) -> Self {
+            Model {
+                owner: vec![None; nodes],
+                next_id: 0,
+            }
+        }
+
+        fn free_count(&self) -> usize {
+            self.owner.iter().filter(|o| o.is_none()).count()
+        }
+
+        fn allocate(&mut self, q: usize) -> Option<usize> {
+            let free: Vec<usize> = (0..self.owner.len())
+                .filter(|&n| self.owner[n].is_none())
+                .take(q)
+                .collect();
+            if free.len() < q {
+                return None;
+            }
+            let id = self.next_id;
+            self.next_id += 1;
+            for n in free {
+                self.owner[n] = Some(id);
+            }
+            Some(id)
+        }
+
+        fn release(&mut self, id: usize) -> usize {
+            let mut freed = 0;
+            for o in self.owner.iter_mut().filter(|o| **o == Some(id)) {
+                *o = None;
+                freed += 1;
+            }
+            freed
+        }
+
+        fn nodes_of(&self, id: usize) -> Vec<usize> {
+            (0..self.owner.len())
+                .filter(|&n| self.owner[n] == Some(id))
+                .collect()
+        }
+    }
+
+    /// Pool sizes on both sides of word boundaries, plus Cielo's.
+    const SIZES: [usize; 5] = [1, 63, 65, 200, 8944];
+
     proptest! {
-        /// Free + allocated always equals total; no node is double-assigned.
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        /// Differential test against [`Model`]: random allocations (from
+        /// one node to the whole pool, plus requests beyond the free
+        /// count) and releases in random order. After every step each live
+        /// allocation holds exactly the model's nodes, every node has the
+        /// model's occupant, and the free counts agree.
         #[test]
-        fn conservation_under_random_ops(ops in proptest::collection::vec((1usize..20, proptest::bool::ANY), 1..100)) {
-            let mut pool = NodePool::new(64);
+        fn conservation_under_random_ops(
+            size in 0usize..SIZES.len(),
+            ops in proptest::collection::vec((0u8..6, 0usize..usize::MAX, 0u32..14), 1..60),
+        ) {
+            let nodes = SIZES[size];
+            let mut pool = NodePool::new(nodes);
+            let mut model = Model::new(nodes);
             let mut live: Vec<AllocId> = Vec::new();
-            for (q, release_first) in ops {
-                if release_first && !live.is_empty() {
-                    let id = live.remove(0);
-                    pool.release(id);
+            for (kind, draw, shift) in ops {
+                if kind < 2 && !live.is_empty() {
+                    let id = live.swap_remove(draw % live.len());
+                    let freed = model.release(id.index());
+                    prop_assert_eq!(pool.release(id).map(|n| n.len()), Some(freed));
+                    prop_assert!(pool.release(id).is_none(), "double release is a no-op");
+                } else {
+                    let q = match kind {
+                        2 => model.free_count() + 1 + draw % 3,
+                        3 if draw % 2 == 0 => nodes,
+                        3 => model.free_count().max(1),
+                        _ => 1 + draw % (nodes >> shift).max(1),
+                    };
+                    let id = pool.allocate(q);
+                    prop_assert_eq!(id.map(AllocId::index), model.allocate(q));
+                    live.extend(id);
                 }
-                if let Some(id) = pool.allocate(q) {
-                    live.push(id);
+                prop_assert_eq!(pool.free_count(), model.free_count());
+                prop_assert_eq!(pool.free_count() + pool.allocated_count(), nodes);
+                prop_assert_eq!(pool.live_allocations(), live.len());
+                for &id in &live {
+                    let held = pool.nodes_of(id).expect("live allocation").to_vec();
+                    prop_assert_eq!(held, model.nodes_of(id.index()));
                 }
-                prop_assert_eq!(pool.free_count() + pool.allocated_count(), 64);
-                // Assignment map consistent with the allocation table.
-                let assigned = (0..64).filter(|&n| pool.occupant(n).is_some()).count();
-                prop_assert_eq!(assigned, pool.allocated_count());
+                for n in 0..nodes {
+                    prop_assert_eq!(pool.occupant(n).map(AllocId::index), model.owner[n]);
+                }
             }
         }
     }
