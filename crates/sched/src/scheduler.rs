@@ -120,9 +120,9 @@ impl<J> Scheduler<J> {
         started
     }
 
-    /// Releases a finished or failed job's nodes. Returns the freed node
-    /// indices (`None` if the allocation was already released).
-    pub fn release(&mut self, alloc: AllocId) -> Option<Vec<usize>> {
+    /// Releases a finished or failed job's nodes. Returns the number of
+    /// nodes freed (`None` if the allocation was already released).
+    pub fn release(&mut self, alloc: AllocId) -> Option<usize> {
         self.pool.release(alloc)
     }
 
