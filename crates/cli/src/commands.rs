@@ -843,7 +843,8 @@ pub fn workload(args: &Args) -> CmdResult {
     }
     let platform = sc.resolve_platform()?;
     let classes = sc.resolve_classes(&platform)?;
-    let spec = WorkloadSpec::new(classes.clone()).with_min_span(sc.span);
+    let spec = WorkloadSpec::try_new(classes.clone())?.with_min_span(sc.span);
+    spec.check_draft_budget(&platform)?;
     let mut rng = Xoshiro256pp::seed_from_u64(sc.seed);
     let jobs = spec.generate(&platform, &mut rng);
 

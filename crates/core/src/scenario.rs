@@ -592,6 +592,19 @@ impl Scenario {
                 .map_err(|e| ScenarioError::invalid("power", e))?;
             config = config.with_power(power);
         }
+        // Trace workloads stream their jobs; generated ones must fit the
+        // generator's draft budget, so no accepted span reaches its limit.
+        if config.workload_source.is_none() {
+            let spec = config
+                .workload_spec()
+                .map_err(|e| ScenarioError::invalid("workload.classes", e))?;
+            spec.check_draft_budget(&config.platform).map_err(|e| {
+                ScenarioError::invalid(
+                    "span_secs",
+                    format!("span of {} days is too long: {e}", self.span.as_days()),
+                )
+            })?;
+        }
         Ok(config)
     }
 
@@ -1709,6 +1722,13 @@ mod tests {
             ),
             (r#"{"workload": {"classes": []}}"#, "workload.classes"),
             (r#"{"span_days": -1}"#, "span"),
+            (r#"{"span_days": 1e9}"#, "span"),
+            (
+                r#"{"workload": {"classes": [{"name": "a", "q_nodes": 8,
+                    "walltime_hours": 10, "resource_share": 0.5, "input_gb": 1,
+                    "output_gb": 1, "ckpt_gb": 1}]}}"#,
+                "workload.classes",
+            ),
         ] {
             let sc = Scenario::parse(doc);
             let err = match sc {

@@ -15,6 +15,10 @@ use coopckpt_des::Duration;
 use coopckpt_failure::{Sample, Uniform, Xoshiro256pp};
 use coopckpt_model::{AppClass, ClassId, JobId, JobSpec, Platform};
 
+/// Jobs [`WorkloadSpec::generate`] may draft before it gives up. Specs
+/// that [`WorkloadSpec::check_draft_budget`] accepts never reach it.
+pub const MAX_DRAFTS: u64 = 1_000_000;
+
 /// Parameters of the workload generator.
 #[derive(Debug, Clone)]
 pub struct WorkloadSpec {
@@ -37,18 +41,25 @@ impl WorkloadSpec {
     ///
     /// Panics when `classes` is empty or shares do not sum to ≈1.
     pub fn new(classes: Vec<AppClass>) -> Self {
-        assert!(!classes.is_empty(), "workload needs at least one class");
+        Self::try_new(classes).unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    /// [`new`](Self::new), returning an error when `classes` is empty or
+    /// the shares do not sum to ≈1.
+    pub fn try_new(classes: Vec<AppClass>) -> Result<Self, String> {
+        if classes.is_empty() {
+            return Err("workload needs at least one class".into());
+        }
         let total_share: f64 = classes.iter().map(|c| c.resource_share).sum();
-        assert!(
-            (total_share - 1.0).abs() < 1e-6,
-            "class shares must sum to 1, got {total_share}"
-        );
-        WorkloadSpec {
+        if (total_share - 1.0).abs() >= 1e-6 {
+            return Err(format!("class shares must sum to 1, got {total_share}"));
+        }
+        Ok(WorkloadSpec {
             classes,
             min_span: Duration::from_days(60.0),
             jitter: (0.8, 1.2),
             share_tolerance: 0.01,
-        }
+        })
     }
 
     /// Overrides the minimum span.
@@ -65,8 +76,51 @@ impl WorkloadSpec {
         self
     }
 
+    /// An upper bound on the jobs [`generate`](Self::generate) drafts on
+    /// `platform`.
+    ///
+    /// Drafting tops up a class only while it is at or below its target
+    /// share, so a class never exceeds its share of the total node-time
+    /// `T` by more than one of its largest jobs, `b_i`; every share is then
+    /// within `Σ b_i / T` of its target. Drafting therefore stops once `T`
+    /// covers both the span and (with a 2× margin for rounding) `2 Σ b_i /
+    /// tolerance`, and every draft adds at least the smallest job.
+    pub fn max_drafts(&self, platform: &Platform) -> f64 {
+        let (lo, hi) = self.jitter;
+        let job = |c: &AppClass, m: f64| c.q_nodes as f64 * c.walltime.as_secs() * m;
+        let smallest = self
+            .classes
+            .iter()
+            .map(|c| job(c, lo))
+            .fold(f64::INFINITY, f64::min);
+        let largest_sum: f64 = self.classes.iter().map(|c| job(c, hi)).sum();
+        let span_work = platform.nodes as f64 * self.min_span.as_secs();
+        let settle_work = 2.0 * largest_sum / self.share_tolerance;
+        span_work.max(settle_work) / smallest + 1.0
+    }
+
+    /// Checks that [`generate`](Self::generate) finishes within
+    /// [`MAX_DRAFTS`] on `platform`, by [`max_drafts`](Self::max_drafts).
+    pub fn check_draft_budget(&self, platform: &Platform) -> Result<(), String> {
+        let bound = self.max_drafts(platform);
+        if bound < MAX_DRAFTS as f64 {
+            Ok(())
+        } else {
+            Err(format!(
+                "{:.1} days of work may need up to {bound:.3e} generated jobs, \
+                 over the workload generator's limit of {MAX_DRAFTS}",
+                self.min_span.as_days()
+            ))
+        }
+    }
+
     /// Generates one workload instance: a shuffled list of jobs whose
     /// priorities equal their position in the shuffle.
+    ///
+    /// # Panics
+    ///
+    /// Panics when drafting exceeds [`MAX_DRAFTS`], which
+    /// [`check_draft_budget`](Self::check_draft_budget) rules out.
     pub fn generate(&self, platform: &Platform, rng: &mut Xoshiro256pp) -> Vec<JobSpec> {
         let target_node_seconds = platform.nodes as f64 * self.min_span.as_secs();
         let n_classes = self.classes.len();
@@ -81,7 +135,7 @@ impl WorkloadSpec {
         let mut drafts: Vec<(usize, Duration)> = Vec::new();
         for iteration in 0u64.. {
             assert!(
-                iteration < 1_000_000,
+                iteration < MAX_DRAFTS,
                 "workload generation failed to converge (tolerance too tight \
                  for the job granularity?)"
             );
