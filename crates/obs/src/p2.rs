@@ -161,12 +161,12 @@ impl P2Quantile {
 
     /// The current estimate (`None` until at least one observation).
     ///
-    /// With fewer than five observations the exact small-sample quantile is
-    /// returned.
+    /// Up to five observations the exact small-sample quantile is
+    /// returned: the markers still hold the raw sample then.
     pub fn estimate(&self) -> Option<f64> {
         match self.count {
             0 => None,
-            n if n < 5 => {
+            n if n <= 5 => {
                 let mut buf: Vec<f64> = self.heights[..n].to_vec();
                 buf.sort_by(|a, b| a.partial_cmp(b).expect("finite observations"));
                 Some(small_sample_quantile(&buf, self.q))
@@ -237,6 +237,18 @@ mod tests {
         // Exact median of {1,2,3}.
         assert_eq!(est.estimate(), Some(2.0));
         assert_eq!(est.count(), 3);
+    }
+
+    #[test]
+    fn five_samples_are_exact() {
+        let mut p95 = P2Quantile::new(0.95);
+        let mut p50 = P2Quantile::new(0.5);
+        for x in [3.0, 1.0, 5.0, 2.0, 4.0] {
+            p95.push(x);
+            p50.push(x);
+        }
+        assert!((p95.estimate().unwrap() - 4.8).abs() < 1e-12);
+        assert_eq!(p50.estimate(), Some(3.0));
     }
 
     #[test]
