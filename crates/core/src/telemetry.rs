@@ -104,6 +104,10 @@ pub fn journal_record(
                     Json::Num(snap.hist(Hist::QueueBucketScans).mean()),
                 ),
                 (
+                    "entry_scans_mean",
+                    Json::Num(snap.hist(Hist::QueueEntryScans).mean()),
+                ),
+                (
                     "bucket_occupancy_max",
                     n(snap.hist(Hist::QueueBucketOccupancy).max),
                 ),

@@ -48,6 +48,10 @@ pub(super) struct CalendarStats {
     pub(super) scans_count: u64,
     pub(super) scans_sum: u64,
     pub(super) scans_max: u64,
+    /// Entries compared per successful `next_slot` (the lengths of the
+    /// buckets it walked): sum/max, counted alongside `scans_count`.
+    pub(super) entries_sum: u64,
+    pub(super) entries_max: u64,
     /// Target-bucket occupancy after each insert: count/sum/max.
     pub(super) occ_count: u64,
     pub(super) occ_sum: u64,
@@ -56,10 +60,12 @@ pub(super) struct CalendarStats {
 
 impl CalendarStats {
     #[inline]
-    fn scan(&mut self, scanned: u64) {
+    fn scan(&mut self, scanned: u64, entries: u64) {
         self.scans_count += 1;
         self.scans_sum += scanned;
         self.scans_max = self.scans_max.max(scanned);
+        self.entries_sum += entries;
+        self.entries_max = self.entries_max.max(entries);
     }
 }
 
@@ -240,12 +246,14 @@ impl<E> CalendarQueue<E> {
             return None;
         }
         let mut scanned = 0u64;
+        let mut entries = 0u64;
         for _ in 0..self.buckets.len() {
             let b = self.phys(self.cursor);
             scanned += 1;
+            entries += self.buckets[b].len() as u64;
             if let Some(slot) = self.min_in_year(b, self.cursor) {
                 if self.track {
-                    self.stats.scan(scanned);
+                    self.stats.scan(scanned, entries);
                 }
                 return Some(slot);
             }
@@ -273,8 +281,12 @@ impl<E> CalendarQueue<E> {
         let slot = best.expect("len > 0 implies a live event");
         self.cursor = self.vbucket(self.entries[slot as usize].time);
         if self.track {
-            // The fallback walked every bucket a second time.
-            self.stats.scan(scanned + self.buckets.len() as u64);
+            // The fallback walked every bucket, and every entry, a second
+            // time.
+            self.stats.scan(
+                scanned + self.buckets.len() as u64,
+                entries + self.len as u64,
+            );
         }
         Some(slot)
     }
@@ -445,6 +457,35 @@ mod tests {
             n += 1;
         }
         assert_eq!(n, 500);
+    }
+
+    #[test]
+    fn entry_scans_expose_a_crowded_near_term_bucket() {
+        // A trace-like population: failures spread over 45 days stretch
+        // the width estimate, so the next hour's events share one bucket
+        // and every pop compares all of them while visiting one bucket.
+        let mut q = CalendarQueue::new();
+        q.track = true;
+        let day = 86_400.0;
+        for i in 0..1000u64 {
+            q.schedule(i, Time::from_secs(i as f64 * 45.0 * day / 1000.0), i);
+        }
+        for i in 0..150u64 {
+            q.schedule(1000 + i, Time::from_secs(i as f64 * 24.0), 1000 + i);
+        }
+        for _ in 0..150 {
+            q.pop().expect("live event");
+        }
+        let stats = q.take_stats();
+        let pops = stats.scans_count as f64;
+        let buckets = stats.scans_sum as f64 / pops;
+        let entries = stats.entries_sum as f64 / pops;
+        assert!(buckets < 2.0, "buckets per pop {buckets}");
+        assert!(
+            entries > 20.0 * buckets,
+            "entries per pop {entries} vs buckets per pop {buckets}"
+        );
+        assert!(stats.entries_max >= 150, "max {}", stats.entries_max);
     }
 
     #[test]

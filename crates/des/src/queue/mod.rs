@@ -240,6 +240,12 @@ impl<E> EventQueue<E> {
             cal.occ_sum,
             cal.occ_max,
         );
+        coopckpt_obs::observe_batch(
+            Hist::QueueEntryScans,
+            cal.scans_count,
+            cal.entries_sum,
+            cal.entries_max,
+        );
     }
 
     /// Discards every pending event. Keys stay unique: sequence numbers

@@ -156,10 +156,13 @@ pub enum Hist {
     PoolScanWords,
     /// `peak_live_jobs` at the end of each simulated instance.
     PeakLiveJobs,
+    /// Calendar entries compared per `next_slot` query: the lengths of
+    /// the buckets it walked.
+    QueueEntryScans,
 }
 
 /// Number of [`Hist`] variants (array sizing).
-pub const NUM_HISTS: usize = 4;
+pub const NUM_HISTS: usize = 5;
 
 impl Hist {
     /// Every histogram, in declaration order.
@@ -168,6 +171,7 @@ impl Hist {
         Hist::QueueBucketOccupancy,
         Hist::PoolScanWords,
         Hist::PeakLiveJobs,
+        Hist::QueueEntryScans,
     ];
 
     /// Stable snake_case name used in reports and journals.
@@ -177,6 +181,7 @@ impl Hist {
             Hist::QueueBucketOccupancy => "queue_bucket_occupancy",
             Hist::PoolScanWords => "pool_scan_words",
             Hist::PeakLiveJobs => "peak_live_jobs",
+            Hist::QueueEntryScans => "queue_entry_scans",
         }
     }
 }
