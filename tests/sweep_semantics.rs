@@ -162,5 +162,8 @@ fn suite_grids_take_every_sweep_axis() {
     .expand()
     .unwrap_err()
     .to_string();
-    assert!(e.contains("grid.ckpt_mem_fraction") && e.contains("trace"), "{e}");
+    assert!(
+        e.contains("grid.ckpt_mem_fraction") && e.contains("trace"),
+        "{e}"
+    );
 }
