@@ -47,6 +47,7 @@ use crate::strategy::Strategy;
 use coopckpt_des::Duration;
 use coopckpt_model::{AppClass, Bandwidth, Bytes, Platform};
 use coopckpt_workload::trace_workload::{TraceClasses, TraceSpec};
+use coopckpt_workload::WorkloadSpec;
 use std::fmt;
 use std::path::{Path, PathBuf};
 
@@ -594,16 +595,19 @@ impl Scenario {
         }
         // Trace workloads stream their jobs; generated ones must fit the
         // generator's draft budget, so no accepted span reaches its limit.
+        // The classes move through the generator spec and back: warm
+        // cache hits compile the scenario too, so this stays clone-free.
         if config.workload_source.is_none() {
-            let spec = config
-                .workload_spec()
-                .map_err(|e| ScenarioError::invalid("workload.classes", e))?;
+            let spec = WorkloadSpec::try_new(std::mem::take(&mut config.classes))
+                .map_err(|e| ScenarioError::invalid("workload.classes", e))?
+                .with_min_span(config.workload_span());
             spec.check_draft_budget(&config.platform).map_err(|e| {
                 ScenarioError::invalid(
                     "span_secs",
                     format!("span of {} days is too long: {e}", self.span.as_days()),
                 )
             })?;
+            config.classes = spec.classes;
         }
         Ok(config)
     }

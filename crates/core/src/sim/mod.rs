@@ -275,12 +275,10 @@ impl SimConfig {
         }
     }
 
-    /// The generator spec for this config's classes, carrying `span ×
-    /// workload_slack` of work. Errors when the class shares do not sum
-    /// to 1.
-    pub fn workload_spec(&self) -> Result<WorkloadSpec, String> {
-        Ok(WorkloadSpec::try_new(self.classes.clone())?
-            .with_min_span(self.span * self.workload_slack.max(1.0)))
+    /// How much work a generated workload carries: `span ×
+    /// workload_slack` (never less than the span).
+    pub fn workload_span(&self) -> Duration {
+        self.span * self.workload_slack.max(1.0)
     }
 
     /// Overrides the simulated span (margins shrink for short spans so the
@@ -482,7 +480,7 @@ pub fn run_simulation(config: &SimConfig, seed: u64) -> SimResult {
         return engine::Engine::run_stream(config, stream, &mut failure_rng, ledger);
     }
 
-    let spec = config.workload_spec().unwrap_or_else(|e| panic!("{e}"));
+    let spec = WorkloadSpec::new(config.classes.clone()).with_min_span(config.workload_span());
     let jobs = {
         let _span = coopckpt_obs::span(coopckpt_obs::Phase::TraceGen);
         spec.generate(&config.platform, &mut workload_rng)

@@ -27,8 +27,8 @@ impl AllocId {
 /// allocation is stored as the `(word, mask)` pairs it took, so a release
 /// ORs its masks back, and an allocation takes each wholly free word with
 /// one mask operation: only its last, partly taken word is walked bit by
-/// bit. A platform-sized job that fails and restarts moves ~36 words, not
-/// ~2300 nodes.
+/// bit. A failed ~2300-node Cielo job is freed and re-placed ~36 words at
+/// a time, not node by node.
 #[derive(Debug, Clone)]
 pub struct NodePool {
     /// Occupant of each node, valid only while the node's free bit is

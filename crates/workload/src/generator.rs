@@ -17,7 +17,7 @@ use coopckpt_model::{AppClass, ClassId, JobId, JobSpec, Platform};
 
 /// Jobs [`WorkloadSpec::generate`] may draft before it gives up. Specs
 /// that [`WorkloadSpec::check_draft_budget`] accepts never reach it.
-pub const MAX_DRAFTS: u64 = 1_000_000;
+const MAX_DRAFTS: u64 = 1_000_000;
 
 /// Parameters of the workload generator.
 #[derive(Debug, Clone)]
@@ -76,31 +76,16 @@ impl WorkloadSpec {
         self
     }
 
-    /// An upper bound on the jobs [`generate`](Self::generate) drafts on
-    /// `platform`.
+    /// Checks that [`generate`](Self::generate) finishes within its
+    /// draft limit (one million jobs) on `platform`.
     ///
     /// Drafting tops up a class only while it is at or below its target
     /// share, so a class never exceeds its share of the total node-time
     /// `T` by more than one of its largest jobs, `b_i`; every share is then
     /// within `Σ b_i / T` of its target. Drafting therefore stops once `T`
     /// covers both the span and (with a 2× margin for rounding) `2 Σ b_i /
-    /// tolerance`, and every draft adds at least the smallest job.
-    pub fn max_drafts(&self, platform: &Platform) -> f64 {
-        let (lo, hi) = self.jitter;
-        let job = |c: &AppClass, m: f64| c.q_nodes as f64 * c.walltime.as_secs() * m;
-        let smallest = self
-            .classes
-            .iter()
-            .map(|c| job(c, lo))
-            .fold(f64::INFINITY, f64::min);
-        let largest_sum: f64 = self.classes.iter().map(|c| job(c, hi)).sum();
-        let span_work = platform.nodes as f64 * self.min_span.as_secs();
-        let settle_work = 2.0 * largest_sum / self.share_tolerance;
-        span_work.max(settle_work) / smallest + 1.0
-    }
-
-    /// Checks that [`generate`](Self::generate) finishes within
-    /// [`MAX_DRAFTS`] on `platform`, by [`max_drafts`](Self::max_drafts).
+    /// tolerance`, and every draft adds at least the smallest job. The
+    /// check compares that bound with the limit.
     pub fn check_draft_budget(&self, platform: &Platform) -> Result<(), String> {
         let bound = self.max_drafts(platform);
         if bound < MAX_DRAFTS as f64 {
@@ -114,12 +99,28 @@ impl WorkloadSpec {
         }
     }
 
+    /// The upper bound on drafted jobs that
+    /// [`check_draft_budget`](Self::check_draft_budget) derives.
+    fn max_drafts(&self, platform: &Platform) -> f64 {
+        let (lo, hi) = self.jitter;
+        let job = |c: &AppClass, m: f64| c.q_nodes as f64 * c.walltime.as_secs() * m;
+        let smallest = self
+            .classes
+            .iter()
+            .map(|c| job(c, lo))
+            .fold(f64::INFINITY, f64::min);
+        let largest_sum: f64 = self.classes.iter().map(|c| job(c, hi)).sum();
+        let span_work = platform.nodes as f64 * self.min_span.as_secs();
+        let settle_work = 2.0 * largest_sum / self.share_tolerance;
+        span_work.max(settle_work) / smallest + 1.0
+    }
+
     /// Generates one workload instance: a shuffled list of jobs whose
     /// priorities equal their position in the shuffle.
     ///
     /// # Panics
     ///
-    /// Panics when drafting exceeds [`MAX_DRAFTS`], which
+    /// Panics when drafting exceeds its limit, which
     /// [`check_draft_budget`](Self::check_draft_budget) rules out.
     pub fn generate(&self, platform: &Platform, rng: &mut Xoshiro256pp) -> Vec<JobSpec> {
         let target_node_seconds = platform.nodes as f64 * self.min_span.as_secs();
@@ -396,6 +397,8 @@ mod proptests {
             let mut rng = Xoshiro256pp::seed_from_u64(seed);
             let jobs = spec.generate(&platform, &mut rng);
             prop_assert!(!jobs.is_empty());
+            // The draft bound `check_draft_budget` relies on holds.
+            prop_assert!(jobs.len() as f64 <= spec.max_drafts(&platform));
             // Enough work.
             let total: f64 = jobs.iter().map(|j| j.q_nodes as f64 * j.work.as_secs()).sum();
             let needed = platform.nodes as f64 * coopckpt_des::Duration::from_days(3.0).as_secs();
