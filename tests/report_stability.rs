@@ -10,8 +10,9 @@
 //!   axis, is itself checked in under `tests/golden/` and compared byte
 //!   for byte, so format drift (added columns, reordered sections,
 //!   float-precision changes) and result drift are caught in review
-//!   instead of silently shipped. After an *intentional* change, refresh
-//!   with:
+//!   instead of silently shipped. The canonical JSON text and cache key
+//!   of two scenarios that spell every scenario key are pinned the same
+//!   way. After an *intentional* change, refresh with:
 //!
 //!   ```sh
 //!   COOPCKPT_BLESS=1 cargo test --test report_stability
@@ -98,13 +99,22 @@ fn check_golden(preset: &str) {
 
 /// Compares (or blesses) `report` against `tests/golden/<name>.{txt,csv,json}`.
 fn check_report_golden(name: &str, report: &Report) {
+    check_golden_files(
+        name,
+        [
+            ("txt", report.to_text()),
+            ("csv", report.to_csv()),
+            ("json", report.to_json().pretty() + "\n"),
+        ],
+    );
+}
+
+/// Compares (or, under `COOPCKPT_BLESS=1`, rewrites) each rendering
+/// against `tests/golden/<name>.<ext>`.
+fn check_golden_files<const N: usize>(name: &str, renderings: [(&str, String); N]) {
     let dir = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/golden");
     let bless = std::env::var("COOPCKPT_BLESS").is_ok_and(|v| !v.is_empty() && v != "0");
-    for (ext, rendered) in [
-        ("txt", report.to_text()),
-        ("csv", report.to_csv()),
-        ("json", report.to_json().pretty() + "\n"),
-    ] {
+    for (ext, rendered) in renderings {
         let path = dir.join(format!("{name}.{ext}"));
         if bless {
             std::fs::create_dir_all(&dir).expect("golden dir");
@@ -233,4 +243,72 @@ fn golden_sweep_power_ratio() {
 #[test]
 fn golden_sweep_local_failure_share() {
     check_tiny_sweep_golden("local-failure-share", "0, 0.9");
+}
+
+/// Canonical scenario bytes: two scenarios that between them spell every
+/// scenario key (human units in, raw units out) must serialize to their
+/// checked-in canonical text and cache key, and the canonical text must
+/// reproduce itself. Every cache key is a hash of these bytes, so a drift
+/// here silently invalidates on-disk campaign caches.
+#[test]
+fn golden_canonical_scenarios() {
+    let preset_mix = r#"{
+        "name": "canonical-preset-mix",
+        "platform": {"preset": "cielo", "bandwidth_gbps": 40, "mtbf_years": 5},
+        "workload": {"trace": "synthetic:jobs=50,seed=3,projects=2,max_nodes=8"},
+        "strategy": "least-waste",
+        "interference": "degraded:0.5",
+        "failures": "weibull:0.7",
+        "failure_classes": [
+            {"name": "transient", "share": 0.3, "severity": 0},
+            {"name": "node", "share": 0.4, "severity": 1},
+            {"name": "system", "share": 0.3, "severity": "system"}
+        ],
+        "tiers": 3,
+        "span_days": 3,
+        "samples": 2,
+        "seed": "9007199254740993",
+        "threads": 3,
+        "measure_margin_days": 0.25,
+        "regular_io_chunks": 4,
+        "workload_slack": 1.25,
+        "power": {"preset": "cielo", "ckpt_w": 450},
+        "sweep": {"axis": "power-ratio", "values": [0.5, 2]}
+    }"#;
+    let custom_lab = r#"{
+        "name": "canonical-custom-lab",
+        "platform": {"name": "lab", "nodes": 64, "cores_per_node": 8,
+                     "mem_per_node_gb": 16, "bandwidth_gbps": 10, "mtbf_years": 5},
+        "workload": {"classes": [
+            {"name": "big", "q_nodes": 32, "walltime_hours": 12, "resource_share": 0.6,
+             "input_gb": 10, "output_gb": 20, "ckpt_gb": 256, "regular_io_gb": 50},
+            {"name": "small", "q_nodes": 8, "walltime_secs": 21600, "resource_share": 0.4,
+             "input_bytes": 1e9, "output_bytes": 2e9, "ckpt_bytes": 6.4e10,
+             "regular_io_bytes": 0}
+        ]},
+        "strategy": "ordered-nb-daly",
+        "interference": "equal",
+        "failures": "exponential",
+        "tiers": [
+            {"name": "local", "capacity_gb": 512, "write_bw_gbps": 2, "per_writer_node": true},
+            {"name": "shared", "capacity_bytes": 2e13, "write_bw_bytes_per_sec": 5e10}
+        ],
+        "span_secs": 259200,
+        "samples": 3,
+        "seed": 7,
+        "measure_margin_secs": 21600,
+        "power": {"idle_w": 100, "compute_w": 200, "io_w": 150, "ckpt_w": 300,
+                  "recovery_w": 250, "down_w": 10, "pfs_static_w": 1000,
+                  "pfs_active_w": 2000, "tier_static_w": 50, "tier_active_w": 80}
+    }"#;
+    for (name, doc) in [
+        ("canonical_preset_mix", preset_mix),
+        ("canonical_custom_lab", custom_lab),
+    ] {
+        let sc = Scenario::parse(doc).expect("pinned scenario parses");
+        let text = sc.to_json_string();
+        let again = Scenario::parse(&text).expect("canonical text parses");
+        assert_eq!(again.to_json_string(), text, "{name}");
+        check_golden_files(name, [("json", text), ("key", cache_key(&sc) + "\n")]);
+    }
 }
