@@ -7,16 +7,15 @@
 //! admission control on capacity) and measures the waste reduction at the
 //! scarce-bandwidth operating point of Figure 2.
 //!
-//! Each variant is the shared base [`Scenario`] with only its
-//! `burst_buffer` field swapped, and results flow through the same
-//! [`Report`] writers as the CLI (`--csv <path>` / `--json <path>`).
+//! Each variant is the shared base [`Scenario`] with only its `tiers`
+//! swapped for a one-tier node-local stack, and results flow through the
+//! same [`Report`] writers as the CLI (`--csv <path>` / `--json <path>`).
 //!
 //! ```sh
 //! cargo run --release -p coopckpt-bench --bin ablation_burst_buffer [-- --json out.json]
 //! ```
 
 use coopckpt::prelude::*;
-use coopckpt::sim::BurstBufferSpec;
 use coopckpt_bench::{banner, cielo_scenario, emit_report, BenchScale};
 
 fn main() {
@@ -31,22 +30,17 @@ fn main() {
 
     // Buffer variants: none; half the platform memory at 1 GB/s per node;
     // 2x platform memory at 4 GB/s per node (ample NVRAM).
-    let variants: [(&str, Option<BurstBufferSpec>); 3] = [
-        ("no burst buffer", None),
-        (
-            "0.5x mem, 1 GB/s/node",
-            Some(BurstBufferSpec {
-                capacity: platform.total_memory() * 0.5,
-                write_bw_per_node: Bandwidth::from_gbps(1.0),
-            }),
-        ),
-        (
-            "2x mem, 4 GB/s/node",
-            Some(BurstBufferSpec {
-                capacity: platform.total_memory() * 2.0,
-                write_bw_per_node: Bandwidth::from_gbps(4.0),
-            }),
-        ),
+    let buffer = |mem_factor: f64, gbps: f64| {
+        TiersSpec::Explicit(vec![TierSpec::per_node(
+            "burst-buffer",
+            platform.total_memory() * mem_factor,
+            Bandwidth::from_gbps(gbps),
+        )])
+    };
+    let variants = [
+        ("no burst buffer", TiersSpec::Geometric(0)),
+        ("0.5x mem, 1 GB/s/node", buffer(0.5, 1.0)),
+        ("2x mem, 4 GB/s/node", buffer(2.0, 4.0)),
     ];
 
     let mut report = Report::new("ablation_burst_buffer", Some(base.clone()));
@@ -66,9 +60,9 @@ fn main() {
         Strategy::least_waste(),
     ] {
         let mut cells = vec![Cell::text(strategy.name())];
-        for (_, bb) in &variants {
+        for (_, tiers) in &variants {
             let mut sc = base.clone().with_strategy(strategy);
-            sc.burst_buffer = *bb;
+            sc.tiers = tiers.clone();
             let config = sc.into_config().expect("bench scenario is valid");
             cells.push(Cell::f4(run_many(&config, &sc.mc()).mean()));
         }

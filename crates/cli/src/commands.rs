@@ -546,30 +546,20 @@ fn parse_failure_classes(raw: &str) -> Result<Vec<FailureClass>, Box<dyn std::er
         let severity = if *severity == "system" {
             FailureClass::SYSTEM
         } else {
-            let s = severity
+            // A number that happens to equal the sentinel is not "system".
+            severity
                 .parse::<usize>()
-                .map_err(|_| format!("bad failure-class severity '{severity}' in '{part}'"))?;
-            // Same bound as the JSON scenario parser, so a flag-built
-            // scenario's echo always re-parses (round-trip equivalence).
-            if s > coopckpt::scenario::MAX_TIER_DEPTH {
-                return Err(format!(
-                    "failure-class severity {s} exceeds the maximum depth {} (use 'system')",
-                    coopckpt::scenario::MAX_TIER_DEPTH
-                )
-                .into());
-            }
-            s
+                .ok()
+                .filter(|&s| s != FailureClass::SYSTEM)
+                .ok_or_else(|| format!("bad failure-class severity '{severity}' in '{part}'"))?
         };
-        if !(share.is_finite() && (0.0..=1.0).contains(&share)) {
-            return Err(format!("failure-class share must be in [0, 1], got '{part}'").into());
-        }
         classes.push(FailureClass {
             name: name.to_string(),
             share,
             severity,
         });
     }
-    coopckpt_failure::validate_classes(&classes)?;
+    coopckpt::scenario::check_failure_classes(&classes)?;
     Ok(classes)
 }
 

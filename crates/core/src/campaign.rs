@@ -311,18 +311,10 @@ impl Suite {
         let mut seen = HashSet::new();
         points.retain(|sc| seen.insert(sc.to_json_string()));
         for sc in &points {
-            let name = sc.name.clone().unwrap_or_else(|| "<unnamed>".to_string());
-            if sc.samples == 0 {
-                return Err(CampaignError::Point {
-                    name,
-                    source: ScenarioError::Invalid {
-                        field: "samples".to_string(),
-                        message: "at least one sample required".to_string(),
-                    },
-                });
-            }
-            sc.into_config()
-                .map_err(|source| CampaignError::Point { name, source })?;
+            sc.into_config().map_err(|source| CampaignError::Point {
+                name: sc.name.clone().unwrap_or_else(|| "<unnamed>".to_string()),
+                source,
+            })?;
         }
         if points.is_empty() {
             return Err(CampaignError::invalid(

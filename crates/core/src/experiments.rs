@@ -178,14 +178,6 @@ pub fn run_scenario_with_cache(
     scenario: &Scenario,
     cache: &OpPointCache,
 ) -> Result<Report, ScenarioError> {
-    if scenario.samples == 0 {
-        // Caught here (not just in JSON parsing) so flag-built scenarios
-        // error cleanly instead of tripping the thread pool's assert.
-        return Err(ScenarioError::Invalid {
-            field: "samples".to_string(),
-            message: "at least one sample required".to_string(),
-        });
-    }
     let config = scenario.into_config()?;
     let mc = scenario.mc();
     let command = if scenario.sweep.is_some() {

@@ -40,8 +40,7 @@ use crate::axis::{Axis, AxisValue, SweepFacts};
 use crate::json::{Json, JsonError};
 use crate::montecarlo::MonteCarloConfig;
 use crate::sim::{
-    geometric_tiers, BurstBufferSpec, FailureClass, FailureModel, InterferenceKind, PowerModel,
-    SimConfig, TierSpec,
+    geometric_tiers, FailureClass, FailureModel, InterferenceKind, PowerModel, SimConfig, TierSpec,
 };
 use crate::strategy::Strategy;
 use coopckpt_des::Duration;
@@ -50,6 +49,7 @@ use coopckpt_workload::trace_workload::{TraceClasses, TraceSpec};
 use coopckpt_workload::WorkloadSpec;
 use std::fmt;
 use std::path::{Path, PathBuf};
+use std::str::FromStr;
 
 /// Errors raised while loading, parsing or validating a scenario.
 #[derive(Debug, Clone, PartialEq)]
@@ -274,8 +274,6 @@ pub struct Scenario {
     pub regular_io_chunks: Option<usize>,
     /// Override for [`SimConfig::workload_slack`].
     pub workload_slack: Option<f64>,
-    /// Optional single burst-buffer tier (the pre-hierarchy API).
-    pub burst_buffer: Option<BurstBufferSpec>,
     /// Optional power model: when present, runs meter per-phase energy
     /// and reports carry energy sections (None = the paper's time-only
     /// accounting).
@@ -308,7 +306,6 @@ impl Default for Scenario {
             measure_margin: None,
             regular_io_chunks: None,
             workload_slack: None,
-            burst_buffer: None,
             power: None,
         }
     }
@@ -412,7 +409,7 @@ impl Scenario {
 
     /// Resolves the platform description (preset + overrides, or custom).
     pub fn resolve_platform(&self) -> Result<Platform, ScenarioError> {
-        match &self.platform {
+        let platform = match &self.platform {
             PlatformSpec::Preset {
                 name,
                 bandwidth,
@@ -435,16 +432,14 @@ impl Scenario {
                 if let Some(mtbf) = node_mtbf {
                     p = p.with_node_mtbf(*mtbf);
                 }
-                p.validate()
-                    .map_err(|e| ScenarioError::invalid("platform", e.to_string()))?;
-                Ok(p)
+                p
             }
-            PlatformSpec::Custom(p) => {
-                p.validate()
-                    .map_err(|e| ScenarioError::invalid("platform", e.to_string()))?;
-                Ok(p.clone())
-            }
-        }
+            PlatformSpec::Custom(p) => p.clone(),
+        };
+        platform
+            .validate()
+            .map_err(|e| ScenarioError::invalid("platform", e.to_string()))?;
+        Ok(platform)
     }
 
     /// The application classes on the given platform. Trace workloads
@@ -489,24 +484,11 @@ impl Scenario {
         if !(self.span.is_finite() && self.span.is_positive()) {
             return Err(ScenarioError::invalid("span_secs", "span must be positive"));
         }
-        // Same guard as JSON parsing, re-checked here so grid-built
-        // points (a suite's `seed`/`samples` axes are applied after the
-        // base parses) and flag-built scenarios can't smuggle in a
-        // wrapping seed range.
-        if self
-            .seed
-            .checked_add((self.samples as u64).saturating_sub(1))
-            .is_none()
-        {
-            return Err(ScenarioError::invalid(
-                "seed",
-                format!(
-                    "seed {} + samples {} overflows the u64 seed range; \
-                     lower the seed or the sample count",
-                    self.seed, self.samples
-                ),
-            ));
-        }
+        // The JSON reader applies the same rules; they are checked again
+        // here because flag-built scenarios and grid points (a suite's
+        // axes are applied after the base parses) never pass through it.
+        check_samples(self.samples)?;
+        check_seed_range(self.seed, self.samples)?;
         let platform = self.resolve_platform()?;
         let (classes, trace_source) = match &self.workload {
             WorkloadSource::Trace(spec) => {
@@ -515,64 +497,37 @@ impl Scenario {
             }
             _ => (self.resolve_classes(&platform)?, None),
         };
-        if classes.is_empty() {
-            return Err(ScenarioError::invalid(
-                "workload.classes",
-                "at least one application class required",
-            ));
-        }
         let mut config = SimConfig::new(platform, classes, self.strategy)
             .with_span(self.span)
             .with_interference(self.interference)
             .with_failures(self.failures);
         config.workload_source = trace_source;
-        if !self.failure_classes.is_empty() {
-            coopckpt_failure::validate_classes(&self.failure_classes)
-                .map_err(|e| ScenarioError::invalid("failure_classes", e))?;
-            // Same bound the JSON (and CLI) parsers enforce, so any
-            // scenario that *runs* serializes an echo that re-parses:
-            // numeric severities past the deepest representable stack
-            // must be spelled "system".
-            for class in &self.failure_classes {
-                if !class.is_system() && class.severity > MAX_TIER_DEPTH {
-                    return Err(ScenarioError::invalid(
-                        "failure_classes",
-                        format!(
-                            "class '{}': severity {} exceeds the maximum depth \
-                             {MAX_TIER_DEPTH} (use \"system\")",
-                            class.name, class.severity
-                        ),
-                    ));
-                }
-            }
-            config.failure_classes = self.failure_classes.clone();
-        }
-        match &self.tiers {
-            TiersSpec::Geometric(0) => {}
-            TiersSpec::Geometric(k) if *k > MAX_TIER_DEPTH => {
-                return Err(ScenarioError::invalid(
-                    "tiers",
-                    format!("hierarchy depth {k} exceeds the maximum of {MAX_TIER_DEPTH}"),
-                ));
-            }
+        check_failure_classes(&self.failure_classes)?;
+        config.failure_classes = self.failure_classes.clone();
+        config.tiers = match &self.tiers {
             TiersSpec::Geometric(k) => {
-                let stack = geometric_tiers(&config.platform, *k);
-                config = config.with_tiers(stack);
+                geometric_tiers(&config.platform, check_tier_depth(*k as u64)?)
             }
-            TiersSpec::Explicit(tiers) => {
-                config = config.with_tiers(tiers.clone());
-            }
-        }
+            TiersSpec::Explicit(tiers) => tiers.clone(),
+        };
         if let Some(margin) = self.measure_margin {
-            if margin * 2.0 >= self.span {
+            // Also false for NaN: the window is [margin, span - margin].
+            if !(margin.as_secs() >= 0.0 && margin * 2.0 < self.span) {
                 return Err(ScenarioError::invalid(
                     "measure_margin_secs",
-                    "margins must leave a non-empty measurement window",
+                    "margins must be non-negative and leave a non-empty measurement window",
                 ));
             }
             config.measure_margin = margin;
         }
         if let Some(chunks) = self.regular_io_chunks {
+            // The engine counts regular-I/O chunks in a `u32`.
+            if !(1..=u32::MAX as usize).contains(&chunks) {
+                return Err(ScenarioError::invalid(
+                    "regular_io_chunks",
+                    format!("expected 1..={} chunks, got {chunks}", u32::MAX),
+                ));
+            }
             config.regular_io_chunks = chunks;
         }
         if let Some(slack) = self.workload_slack {
@@ -583,9 +538,6 @@ impl Scenario {
                 ));
             }
             config.workload_slack = slack;
-        }
-        if let Some(bb) = self.burst_buffer {
-            config = config.with_burst_buffer(bb);
         }
         if let Some(power) = self.power {
             power
@@ -641,7 +593,6 @@ impl Scenario {
             measure_margin: Some(config.measure_margin),
             regular_io_chunks: Some(config.regular_io_chunks),
             workload_slack: Some(config.workload_slack),
-            burst_buffer: config.burst_buffer,
             power: config.power,
             ..Scenario::default()
         }
@@ -660,13 +611,13 @@ impl Scenario {
     /// non-default field present). `Scenario::from_json(&s.to_json()) == s`
     /// exactly.
     pub fn to_json(&self) -> Json {
-        let mut pairs: Vec<(String, Json)> = Vec::new();
+        let mut pairs = Vec::with_capacity(20);
         if let Some(name) = &self.name {
-            pairs.push(("name".into(), Json::str(name.clone())));
+            pairs.push(("name", Json::str(name.clone())));
         }
-        pairs.push(("platform".into(), platform_to_json(&self.platform)));
+        pairs.push(("platform", platform_to_json(&self.platform)));
         pairs.push((
-            "workload".into(),
+            "workload",
             match &self.workload {
                 WorkloadSource::Apex => Json::str("apex"),
                 WorkloadSource::Custom(classes) => Json::obj([(
@@ -676,36 +627,26 @@ impl Scenario {
                 WorkloadSource::Trace(spec) => Json::obj([("trace", Json::str(spec.clone()))]),
             },
         ));
-        pairs.push(("strategy".into(), Json::str(self.strategy.spec_name())));
-        pairs.push((
-            "interference".into(),
-            Json::str(self.interference.spec_name()),
-        ));
-        pairs.push(("failures".into(), Json::str(self.failures.spec_name())));
+        pairs.push(("strategy", Json::str(self.strategy.spec_name())));
+        pairs.push(("interference", Json::str(self.interference.spec_name())));
+        pairs.push(("failures", Json::str(self.failures.spec_name())));
         if !self.failure_classes.is_empty() {
-            pairs.push((
-                "failure_classes".into(),
-                Json::Arr(
-                    self.failure_classes
-                        .iter()
-                        .map(failure_class_to_json)
-                        .collect(),
-                ),
-            ));
+            let classes = self.failure_classes.iter().map(failure_class_to_json);
+            pairs.push(("failure_classes", Json::Arr(classes.collect())));
         }
         pairs.push((
-            "tiers".into(),
+            "tiers",
             match &self.tiers {
                 TiersSpec::Geometric(k) => Json::Num(*k as f64),
                 TiersSpec::Explicit(tiers) => Json::Arr(tiers.iter().map(tier_to_json).collect()),
             },
         ));
-        pairs.push(("span_secs".into(), Json::Num(self.span.as_secs())));
-        pairs.push(("samples".into(), Json::Num(self.samples as f64)));
+        pairs.push(SPAN.entry(self.span));
+        pairs.push(("samples", Json::Num(self.samples as f64)));
         // Seeds above 2^53 would be silently rounded as JSON numbers;
         // emit them as decimal strings so the round trip stays exact.
         pairs.push((
-            "seed".into(),
+            "seed",
             if self.seed <= (1 << 53) {
                 Json::Num(self.seed as f64)
             } else {
@@ -713,45 +654,29 @@ impl Scenario {
             },
         ));
         if self.threads != 0 {
-            pairs.push(("threads".into(), Json::Num(self.threads as f64)));
+            pairs.push(("threads", Json::Num(self.threads as f64)));
         }
-        if let Some(margin) = self.measure_margin {
-            pairs.push(("measure_margin_secs".into(), Json::Num(margin.as_secs())));
-        }
+        pairs.extend(self.measure_margin.map(|m| MEASURE_MARGIN.entry(m)));
         if let Some(chunks) = self.regular_io_chunks {
-            pairs.push(("regular_io_chunks".into(), Json::Num(chunks as f64)));
+            pairs.push(("regular_io_chunks", Json::Num(chunks as f64)));
         }
         if let Some(slack) = self.workload_slack {
-            pairs.push(("workload_slack".into(), Json::Num(slack)));
-        }
-        if let Some(bb) = &self.burst_buffer {
-            pairs.push((
-                "burst_buffer".into(),
-                Json::obj([
-                    ("capacity_bytes", Json::Num(bb.capacity.as_bytes())),
-                    (
-                        "write_bw_per_node_bytes_per_sec",
-                        Json::Num(bb.write_bw_per_node.as_bytes_per_sec()),
-                    ),
-                ]),
-            ));
+            pairs.push(("workload_slack", Json::Num(slack)));
         }
         if let Some(power) = &self.power {
-            pairs.push(("power".into(), power_to_json(power)));
+            pairs.push(("power", power_to_json(power)));
         }
         if let Some(sweep) = &self.sweep {
+            let values = sweep.values.iter().map(|&v| Json::Num(v)).collect();
             pairs.push((
-                "sweep".into(),
+                "sweep",
                 Json::obj([
                     ("axis", Json::str(sweep.name())),
-                    (
-                        "values",
-                        Json::Arr(sweep.values.iter().map(|&v| Json::Num(v)).collect()),
-                    ),
+                    ("values", Json::Arr(values)),
                 ]),
             ));
         }
-        Json::Obj(pairs)
+        Json::obj(pairs)
     }
 
     /// Pretty-printed canonical JSON (see [`Scenario::to_json`]).
@@ -762,253 +687,362 @@ impl Scenario {
     /// Parses a scenario from a JSON value. Missing fields take the
     /// [`Scenario::default`] values; unknown keys are rejected.
     pub fn from_json(v: &Json) -> Result<Scenario, ScenarioError> {
-        let pairs = as_object(v, "")?;
-        check_keys(
-            pairs,
-            &[
-                "name",
-                "platform",
-                "workload",
-                "strategy",
-                "interference",
-                "failures",
-                "failure_classes",
-                "tiers",
-                "span_secs",
-                "span_days",
-                "samples",
-                "seed",
-                "threads",
-                "sweep",
-                "measure_margin_secs",
-                "measure_margin_days",
-                "regular_io_chunks",
-                "workload_slack",
-                "burst_buffer",
-                "power",
-            ],
-            "",
-        )?;
-        let mut sc = Scenario::default();
-        if let Some(name) = opt_str(pairs, "name")? {
-            sc.name = Some(name);
-        }
-        if let Some(p) = field(pairs, "platform") {
+        let mut f = Fields::new(v, "")?;
+        let mut sc = Scenario {
+            name: f.str("name")?.map(str::to_string),
+            ..Scenario::default()
+        };
+        if let Some(p) = f.get("platform") {
             sc.platform = platform_from_json(p)?;
         }
-        if let Some(w) = field(pairs, "workload") {
+        if let Some(w) = f.get("workload") {
             sc.workload = workload_from_json(w)?;
         }
-        if let Some(s) = opt_str(pairs, "strategy")? {
-            sc.strategy = s
-                .parse()
-                .map_err(|e: String| ScenarioError::invalid("strategy", e))?;
-        }
-        if let Some(s) = opt_str(pairs, "interference")? {
-            sc.interference = s
-                .parse()
-                .map_err(|e: String| ScenarioError::invalid("interference", e))?;
-        }
-        if let Some(s) = opt_str(pairs, "failures")? {
-            sc.failures = s
-                .parse()
-                .map_err(|e: String| ScenarioError::invalid("failures", e))?;
-        }
-        if let Some(fc) = field(pairs, "failure_classes") {
+        sc.strategy = f.spec("strategy")?.unwrap_or(sc.strategy);
+        sc.interference = f.spec("interference")?.unwrap_or(sc.interference);
+        sc.failures = f.spec("failures")?.unwrap_or(sc.failures);
+        if let Some(fc) = f.get("failure_classes") {
             sc.failure_classes = failure_classes_from_json(fc)?;
         }
-        if let Some(t) = field(pairs, "tiers") {
+        if let Some(t) = f.get("tiers") {
             sc.tiers = tiers_from_json(t)?;
         }
-        if let Some(span) = alt_duration(
-            pairs,
-            ("span_secs", Duration::from_secs as fn(f64) -> Duration),
-            ("span_days", Duration::from_days),
-        )? {
-            sc.span = span;
+        sc.span = f.quantity(&SPAN)?.unwrap_or(sc.span);
+        if let Some(samples) = f.usize("samples")? {
+            check_samples(samples)?;
+            sc.samples = samples;
         }
-        if let Some(samples) = opt_u64(pairs, "samples")? {
-            if samples == 0 {
-                return Err(ScenarioError::invalid("samples", "at least one sample"));
-            }
-            sc.samples = samples as usize;
-        }
-        if let Some(v) = field(pairs, "seed") {
+        if let Some(v) = f.get("seed") {
             // Numbers for everyday seeds; decimal strings keep seeds
             // above 2^53 exact (the canonical serializer emits those).
             sc.seed = match v {
-                Json::Str(s) => s.parse().map_err(|_| {
-                    ScenarioError::invalid("seed", "expected a non-negative integer")
-                })?,
-                other => other.as_u64().ok_or_else(|| {
-                    ScenarioError::invalid("seed", "expected a non-negative integer")
-                })?,
-            };
+                Json::Str(s) => s.parse().ok(),
+                other => other.as_u64(),
+            }
+            .ok_or_else(|| ScenarioError::invalid("seed", "expected a non-negative integer"))?;
         }
-        // Instance seeds are `seed.wrapping_add(0 .. samples)`. Library
-        // callers get the documented wrap; a *scenario* whose seed range
-        // would wrap past `u64::MAX` is almost certainly a typo, and the
-        // wrapped instances would silently collide with low-seed points —
-        // reject it while the field names are still in hand.
-        if sc
-            .seed
-            .checked_add((sc.samples as u64).saturating_sub(1))
-            .is_none()
-        {
-            return Err(ScenarioError::invalid(
-                "seed",
-                format!(
-                    "seed {} + samples {} overflows the u64 seed range; \
-                     lower the seed or the sample count",
-                    sc.seed, sc.samples
-                ),
-            ));
-        }
-        if let Some(threads) = opt_u64(pairs, "threads")? {
-            sc.threads = threads as usize;
-        }
-        sc.measure_margin = alt_duration(
-            pairs,
-            ("measure_margin_secs", Duration::from_secs),
-            ("measure_margin_days", Duration::from_days),
-        )?;
-        if let Some(chunks) = opt_u64(pairs, "regular_io_chunks")? {
-            sc.regular_io_chunks = Some(chunks as usize);
-        }
-        if let Some(slack) = opt_f64(pairs, "workload_slack")? {
-            sc.workload_slack = Some(slack);
-        }
-        if let Some(bb) = field(pairs, "burst_buffer") {
-            sc.burst_buffer = Some(burst_buffer_from_json(bb)?);
-        }
-        if let Some(pw) = field(pairs, "power") {
-            sc.power = Some(power_from_json(pw)?);
-        }
-        if let Some(sw) = field(pairs, "sweep") {
-            sc.sweep = Some(sweep_from_json(sw)?);
-        }
+        check_seed_range(sc.seed, sc.samples)?;
+        sc.threads = f.usize("threads")?.unwrap_or(sc.threads);
+        sc.measure_margin = f.quantity(&MEASURE_MARGIN)?;
+        sc.regular_io_chunks = f.usize("regular_io_chunks")?;
+        sc.workload_slack = f.f64("workload_slack")?;
+        sc.power = f.get("power").map(power_from_json).transpose()?;
+        sc.sweep = f.get("sweep").map(sweep_from_json).transpose()?;
+        f.done()?;
         Ok(sc)
     }
 }
 
-// ----- JSON helpers ------------------------------------------------------
+// ----- validation rules shared by every front door -----------------------
 
-fn field<'a>(pairs: &'a [(String, Json)], key: &str) -> Option<&'a Json> {
-    pairs.iter().find(|(k, _)| k == key).map(|(_, v)| v)
-}
-
-fn as_object<'a>(v: &'a Json, path: &str) -> Result<&'a [(String, Json)], ScenarioError> {
-    v.as_object()
-        .ok_or_else(|| ScenarioError::invalid(path, "expected a JSON object"))
-}
-
-fn check_keys(pairs: &[(String, Json)], known: &[&str], path: &str) -> Result<(), ScenarioError> {
-    for (k, _) in pairs {
-        if !known.contains(&k.as_str()) {
-            return Err(ScenarioError::invalid(
-                join(path, k),
-                format!("unknown key (known keys: {})", known.join(", ")),
-            ));
-        }
+/// At least one Monte-Carlo instance.
+fn check_samples(samples: usize) -> Result<(), ScenarioError> {
+    if samples == 0 {
+        return Err(ScenarioError::invalid(
+            "samples",
+            "at least one sample required",
+        ));
     }
     Ok(())
 }
 
-fn join(path: &str, key: &str) -> String {
-    if path.is_empty() {
-        key.to_string()
-    } else {
-        format!("{path}.{key}")
+/// Instance seeds are `seed.wrapping_add(0 .. samples)`. Library callers
+/// get the documented wrap; a *scenario* whose seed range would wrap past
+/// `u64::MAX` is almost certainly a typo, and the wrapped instances would
+/// silently collide with low-seed points, so it is rejected.
+fn check_seed_range(seed: u64, samples: usize) -> Result<(), ScenarioError> {
+    if seed
+        .checked_add((samples as u64).saturating_sub(1))
+        .is_none()
+    {
+        return Err(ScenarioError::invalid(
+            "seed",
+            format!(
+                "seed {seed} + samples {samples} overflows the u64 seed range; \
+                 lower the seed or the sample count"
+            ),
+        ));
+    }
+    Ok(())
+}
+
+/// A geometric hierarchy depth, at most [`MAX_TIER_DEPTH`].
+fn check_tier_depth(levels: u64) -> Result<usize, ScenarioError> {
+    if levels > MAX_TIER_DEPTH as u64 {
+        return Err(ScenarioError::invalid(
+            "tiers",
+            format!("hierarchy depth {levels} exceeds the maximum of {MAX_TIER_DEPTH}"),
+        ));
+    }
+    Ok(levels as usize)
+}
+
+/// Checks a failure-class mix wherever one enters: scenario JSON, the
+/// CLI's `--failure-classes` and [`Scenario::into_config`]. Each share
+/// lies in `[0, 1]` and the shares sum to 1; numeric severities go no
+/// deeper than [`MAX_TIER_DEPTH`] (deeper strikes are spelled
+/// `"system"`), so the echo of every runnable scenario re-parses. An
+/// empty mix is the paper's single system class.
+pub fn check_failure_classes(classes: &[FailureClass]) -> Result<(), ScenarioError> {
+    if classes.is_empty() {
+        return Ok(());
+    }
+    for (i, class) in classes.iter().enumerate() {
+        let field = |key: &str| format!("failure_classes[{i}].{key}");
+        if !(class.share.is_finite() && (0.0..=1.0).contains(&class.share)) {
+            return Err(ScenarioError::invalid(
+                field("share"),
+                format!("share must be in [0, 1], got {}", class.share),
+            ));
+        }
+        if !class.is_system() && class.severity > MAX_TIER_DEPTH {
+            return Err(ScenarioError::invalid(
+                field("severity"),
+                format!(
+                    "class '{}': severity {} exceeds the maximum depth \
+                     {MAX_TIER_DEPTH} (use \"system\")",
+                    class.name, class.severity
+                ),
+            ));
+        }
+    }
+    coopckpt_failure::validate_classes(classes)
+        .map_err(|e| ScenarioError::invalid("failure_classes", e))
+}
+
+// ----- JSON reader and unit declarations ---------------------------------
+
+/// Room for the most keys one scenario object accepts (the top level's 19).
+const MAX_KEYS: usize = 24;
+
+/// Reads one JSON object. Each getter names a key the object accepts, and
+/// [`Fields::done`] rejects any other key, listing the accepted ones, so
+/// an object accepts exactly the keys its parser reads.
+struct Fields<'a> {
+    pairs: &'a [(String, Json)],
+    /// Dotted path of the object (`""` at the top level).
+    path: &'a str,
+    asked: [&'static str; MAX_KEYS],
+    n_asked: usize,
+    /// How many of `pairs` the getters found.
+    found: usize,
+}
+
+impl<'a> Fields<'a> {
+    fn new(v: &'a Json, path: &'a str) -> Result<Fields<'a>, ScenarioError> {
+        let pairs = v
+            .as_object()
+            .ok_or_else(|| ScenarioError::invalid(path, "expected a JSON object"))?;
+        Ok(Fields {
+            pairs,
+            path,
+            asked: [""; MAX_KEYS],
+            n_asked: 0,
+            found: 0,
+        })
+    }
+
+    /// An error naming `key` of this object by its dotted path.
+    fn error(&self, key: &str, message: impl Into<String>) -> ScenarioError {
+        if self.path.is_empty() {
+            ScenarioError::invalid(key, message)
+        } else {
+            ScenarioError::invalid(format!("{}.{key}", self.path), message)
+        }
+    }
+
+    fn missing(&self, key: &str) -> ScenarioError {
+        self.error(key, "required field is missing")
+    }
+
+    /// The value of `key`, if present. Each key is asked for once.
+    fn get(&mut self, key: &'static str) -> Option<&'a Json> {
+        debug_assert!(
+            !self.asked[..self.n_asked].contains(&key),
+            "{key} read twice"
+        );
+        self.asked[self.n_asked] = key;
+        self.n_asked += 1;
+        let value = self.pairs.iter().find(|(k, _)| k == key).map(|(_, v)| v);
+        self.found += usize::from(value.is_some());
+        value
+    }
+
+    /// The value of `key` converted by `read`; `expected` names the type
+    /// when the conversion fails.
+    fn typed<T>(
+        &mut self,
+        key: &'static str,
+        read: fn(&'a Json) -> Option<T>,
+        expected: &str,
+    ) -> Result<Option<T>, ScenarioError> {
+        match self.get(key) {
+            None => Ok(None),
+            Some(v) => read(v).map(Some).ok_or_else(|| self.error(key, expected)),
+        }
+    }
+
+    fn f64(&mut self, key: &'static str) -> Result<Option<f64>, ScenarioError> {
+        self.typed(key, Json::as_f64, "expected a number")
+    }
+
+    fn usize(&mut self, key: &'static str) -> Result<Option<usize>, ScenarioError> {
+        let read = |v: &Json| v.as_u64().and_then(|n| usize::try_from(n).ok());
+        self.typed(key, read, "expected a non-negative integer")
+    }
+
+    fn str(&mut self, key: &'static str) -> Result<Option<&'a str>, ScenarioError> {
+        self.typed(key, Json::as_str, "expected a string")
+    }
+
+    /// A spec string read through its `FromStr` grammar.
+    fn spec<T: FromStr<Err = String>>(
+        &mut self,
+        key: &'static str,
+    ) -> Result<Option<T>, ScenarioError> {
+        match self.str(key)? {
+            None => Ok(None),
+            Some(s) => s.parse().map(Some).map_err(|e| self.error(key, e)),
+        }
+    }
+
+    /// A quantity in either of its spellings (not both).
+    fn quantity<T: BaseUnit>(&mut self, q: &Quantity<T>) -> Result<Option<T>, ScenarioError> {
+        match (self.f64(q.raw)?, self.f64(q.human)?) {
+            (Some(_), Some(_)) => Err(self.error(
+                q.raw,
+                format!("give either {} or {}, not both", q.raw, q.human),
+            )),
+            (raw, human) => Ok(raw.map(T::from_base).or(human.map(q.from_human))),
+        }
+    }
+
+    /// A required quantity; a missing one is reported under its human key.
+    fn need<T: BaseUnit>(&mut self, q: &Quantity<T>) -> Result<T, ScenarioError> {
+        self.quantity(q)?.ok_or_else(|| self.missing(q.human))
+    }
+
+    /// Rejects any key no getter asked for.
+    fn done(self) -> Result<(), ScenarioError> {
+        if self.found == self.pairs.len() {
+            return Ok(());
+        }
+        let asked = &self.asked[..self.n_asked];
+        for (key, _) in self.pairs {
+            if !asked.contains(&key.as_str()) {
+                let known = asked.join(", ");
+                return Err(self.error(key, format!("unknown key (known keys: {known})")));
+            }
+        }
+        Ok(())
     }
 }
 
-fn opt_f64(pairs: &[(String, Json)], key: &str) -> Result<Option<f64>, ScenarioError> {
-    opt_f64_at(pairs, key, "")
+/// A unit type whose raw JSON spelling is its base unit (seconds, bytes,
+/// bytes per second).
+trait BaseUnit: Copy {
+    fn from_base(x: f64) -> Self;
+    fn base(self) -> f64;
 }
 
-fn opt_f64_at(
-    pairs: &[(String, Json)],
-    key: &str,
-    path: &str,
-) -> Result<Option<f64>, ScenarioError> {
-    match field(pairs, key) {
-        None => Ok(None),
-        Some(v) => v
-            .as_f64()
-            .map(Some)
-            .ok_or_else(|| ScenarioError::invalid(join(path, key), "expected a number")),
+impl BaseUnit for Duration {
+    fn from_base(x: f64) -> Self {
+        Duration::from_secs(x)
+    }
+    fn base(self) -> f64 {
+        self.as_secs()
     }
 }
 
-fn req_f64(pairs: &[(String, Json)], key: &str, path: &str) -> Result<f64, ScenarioError> {
-    opt_f64_at(pairs, key, path)?
-        .ok_or_else(|| ScenarioError::invalid(join(path, key), "required field is missing"))
-}
-
-fn opt_u64(pairs: &[(String, Json)], key: &str) -> Result<Option<u64>, ScenarioError> {
-    opt_u64_at(pairs, key, "")
-}
-
-fn opt_u64_at(
-    pairs: &[(String, Json)],
-    key: &str,
-    path: &str,
-) -> Result<Option<u64>, ScenarioError> {
-    match field(pairs, key) {
-        None => Ok(None),
-        Some(v) => v.as_u64().map(Some).ok_or_else(|| {
-            ScenarioError::invalid(join(path, key), "expected a non-negative integer")
-        }),
+impl BaseUnit for Bytes {
+    fn from_base(x: f64) -> Self {
+        Bytes::new(x)
+    }
+    fn base(self) -> f64 {
+        self.as_bytes()
     }
 }
 
-fn opt_str(pairs: &[(String, Json)], key: &str) -> Result<Option<String>, ScenarioError> {
-    opt_str_at(pairs, key, "")
-}
-
-fn opt_str_at(
-    pairs: &[(String, Json)],
-    key: &str,
-    path: &str,
-) -> Result<Option<String>, ScenarioError> {
-    match field(pairs, key) {
-        None => Ok(None),
-        Some(v) => v
-            .as_str()
-            .map(|s| Some(s.to_string()))
-            .ok_or_else(|| ScenarioError::invalid(join(path, key), "expected a string")),
+impl BaseUnit for Bandwidth {
+    fn from_base(x: f64) -> Self {
+        Bandwidth::new(x)
+    }
+    fn base(self) -> f64 {
+        self.as_bytes_per_sec()
     }
 }
 
-/// Reads a quantity that may be spelled in raw base units or a human
-/// alias (e.g. `bandwidth_bytes_per_sec` vs `bandwidth_gbps`), applying
-/// the matching constructor. Both at once is an error.
-fn alt_quantity<T>(
-    pairs: &[(String, Json)],
-    raw: (&str, impl Fn(f64) -> T),
-    human: (&str, impl Fn(f64) -> T),
-    path: &str,
-) -> Result<Option<T>, ScenarioError> {
-    let raw_v = opt_f64_at(pairs, raw.0, path)?;
-    let human_v = opt_f64_at(pairs, human.0, path)?;
-    match (raw_v, human_v) {
-        (Some(_), Some(_)) => Err(ScenarioError::invalid(
-            join(path, raw.0),
-            format!("give either {} or {}, not both", raw.0, human.0),
-        )),
-        (Some(v), None) => Ok(Some(raw.1(v))),
-        (None, Some(v)) => Ok(Some(human.1(v))),
-        (None, None) => Ok(None),
+/// A quantity a file may spell in raw base units or in one human unit
+/// (`span_secs` or `span_days`). The canonical writer emits the raw key.
+struct Quantity<T> {
+    raw: &'static str,
+    human: &'static str,
+    from_human: fn(f64) -> T,
+}
+
+impl<T: BaseUnit> Quantity<T> {
+    const fn new(raw: &'static str, human: &'static str, from_human: fn(f64) -> T) -> Self {
+        Quantity {
+            raw,
+            human,
+            from_human,
+        }
+    }
+
+    /// The canonical `(raw key, value)` entry.
+    fn entry(&self, value: T) -> (&'static str, Json) {
+        (self.raw, Json::Num(value.base()))
     }
 }
 
-fn alt_duration(
-    pairs: &[(String, Json)],
-    raw: (&str, fn(f64) -> Duration),
-    human: (&str, fn(f64) -> Duration),
-) -> Result<Option<Duration>, ScenarioError> {
-    alt_quantity(pairs, raw, human, "")
-}
+const SPAN: Quantity<Duration> = Quantity::new("span_secs", "span_days", Duration::from_days);
+const MEASURE_MARGIN: Quantity<Duration> = Quantity::new(
+    "measure_margin_secs",
+    "measure_margin_days",
+    Duration::from_days,
+);
+const PFS_BANDWIDTH: Quantity<Bandwidth> = Quantity::new(
+    "bandwidth_bytes_per_sec",
+    "bandwidth_gbps",
+    Bandwidth::from_gbps,
+);
+const NODE_MTBF: Quantity<Duration> =
+    Quantity::new("node_mtbf_secs", "mtbf_years", Duration::from_years);
+const MEM_PER_NODE: Quantity<Bytes> =
+    Quantity::new("mem_per_node_bytes", "mem_per_node_gb", Bytes::from_gb);
+const WALLTIME: Quantity<Duration> =
+    Quantity::new("walltime_secs", "walltime_hours", Duration::from_hours);
+const INPUT: Quantity<Bytes> = Quantity::new("input_bytes", "input_gb", Bytes::from_gb);
+const OUTPUT: Quantity<Bytes> = Quantity::new("output_bytes", "output_gb", Bytes::from_gb);
+const CKPT: Quantity<Bytes> = Quantity::new("ckpt_bytes", "ckpt_gb", Bytes::from_gb);
+const REGULAR_IO: Quantity<Bytes> =
+    Quantity::new("regular_io_bytes", "regular_io_gb", Bytes::from_gb);
+const TIER_CAPACITY: Quantity<Bytes> =
+    Quantity::new("capacity_bytes", "capacity_gb", Bytes::from_gb);
+const TIER_WRITE_BW: Quantity<Bandwidth> = Quantity::new(
+    "write_bw_bytes_per_sec",
+    "write_bw_gbps",
+    Bandwidth::from_gbps,
+);
+
+/// A power-model draw: its JSON key and its field.
+type Draw = (&'static str, fn(&mut PowerModel) -> &mut f64);
+
+/// The power model's draws, in canonical order.
+const POWER_DRAWS: [Draw; 10] = [
+    ("idle_w", |p| &mut p.idle_w),
+    ("compute_w", |p| &mut p.compute_w),
+    ("io_w", |p| &mut p.io_w),
+    ("ckpt_w", |p| &mut p.ckpt_w),
+    ("recovery_w", |p| &mut p.recovery_w),
+    ("down_w", |p| &mut p.down_w),
+    ("pfs_static_w", |p| &mut p.pfs_static_w),
+    ("pfs_active_w", |p| &mut p.pfs_active_w),
+    ("tier_static_w", |p| &mut p.tier_static_w),
+    ("tier_active_w", |p| &mut p.tier_active_w),
+];
+
+// ----- per-object readers and writers -------------------------------------
 
 fn platform_to_json(spec: &PlatformSpec) -> Json {
     match spec {
@@ -1017,28 +1051,18 @@ fn platform_to_json(spec: &PlatformSpec) -> Json {
             bandwidth,
             node_mtbf,
         } => {
-            let mut pairs = vec![("preset".to_string(), Json::str(name.clone()))];
-            if let Some(bw) = bandwidth {
-                pairs.push((
-                    "bandwidth_bytes_per_sec".into(),
-                    Json::Num(bw.as_bytes_per_sec()),
-                ));
-            }
-            if let Some(mtbf) = node_mtbf {
-                pairs.push(("node_mtbf_secs".into(), Json::Num(mtbf.as_secs())));
-            }
-            Json::Obj(pairs)
+            let mut pairs = vec![("preset", Json::str(name.clone()))];
+            pairs.extend(bandwidth.map(|bw| PFS_BANDWIDTH.entry(bw)));
+            pairs.extend(node_mtbf.map(|mtbf| NODE_MTBF.entry(mtbf)));
+            Json::obj(pairs)
         }
         PlatformSpec::Custom(p) => Json::obj([
             ("name", Json::str(p.name.clone())),
             ("nodes", Json::Num(p.nodes as f64)),
             ("cores_per_node", Json::Num(p.cores_per_node as f64)),
-            ("mem_per_node_bytes", Json::Num(p.mem_per_node.as_bytes())),
-            (
-                "bandwidth_bytes_per_sec",
-                Json::Num(p.pfs_bandwidth.as_bytes_per_sec()),
-            ),
-            ("node_mtbf_secs", Json::Num(p.node_mtbf.as_secs())),
+            MEM_PER_NODE.entry(p.mem_per_node),
+            PFS_BANDWIDTH.entry(p.pfs_bandwidth),
+            NODE_MTBF.entry(p.node_mtbf),
         ]),
     }
 }
@@ -1052,88 +1076,29 @@ fn platform_from_json(v: &Json) -> Result<PlatformSpec, ScenarioError> {
             node_mtbf: None,
         });
     }
-    let pairs = as_object(v, "platform")?;
-    let bandwidth = alt_quantity(
-        pairs,
-        (
-            "bandwidth_bytes_per_sec",
-            Bandwidth::new as fn(f64) -> Bandwidth,
-        ),
-        ("bandwidth_gbps", Bandwidth::from_gbps),
-        "platform",
-    )?;
-    let node_mtbf = alt_quantity(
-        pairs,
-        ("node_mtbf_secs", Duration::from_secs as fn(f64) -> Duration),
-        ("mtbf_years", Duration::from_years),
-        "platform",
-    )?;
-    if field(pairs, "preset").is_some() {
-        check_keys(
-            pairs,
-            &[
-                "preset",
-                "bandwidth_bytes_per_sec",
-                "bandwidth_gbps",
-                "node_mtbf_secs",
-                "mtbf_years",
-            ],
-            "platform",
-        )?;
-        let name = opt_str_at(pairs, "preset", "platform")?.expect("present by check");
-        Ok(PlatformSpec::Preset {
-            name,
+    let mut f = Fields::new(v, "platform")?;
+    let bandwidth = f.quantity(&PFS_BANDWIDTH)?;
+    let node_mtbf = f.quantity(&NODE_MTBF)?;
+    let spec = match f.str("preset")? {
+        Some(name) => PlatformSpec::Preset {
+            name: name.to_string(),
             bandwidth,
             node_mtbf,
-        })
-    } else {
-        check_keys(
-            pairs,
-            &[
-                "name",
-                "nodes",
-                "cores_per_node",
-                "mem_per_node_bytes",
-                "mem_per_node_gb",
-                "bandwidth_bytes_per_sec",
-                "bandwidth_gbps",
-                "node_mtbf_secs",
-                "mtbf_years",
-            ],
-            "platform",
-        )?;
-        let name = opt_str_at(pairs, "name", "platform")?.ok_or_else(|| {
-            ScenarioError::invalid("platform.name", "required for custom platforms")
-        })?;
-        let nodes = opt_u64_at(pairs, "nodes", "platform")?
-            .ok_or_else(|| ScenarioError::invalid("platform.nodes", "required field is missing"))?;
-        let cores = opt_u64_at(pairs, "cores_per_node", "platform")?.unwrap_or(1);
-        let mem = alt_quantity(
-            pairs,
-            ("mem_per_node_bytes", Bytes::new as fn(f64) -> Bytes),
-            ("mem_per_node_gb", Bytes::from_gb),
-            "platform",
-        )?
-        .ok_or_else(|| {
-            ScenarioError::invalid("platform.mem_per_node_gb", "required field is missing")
-        })?;
-        let bandwidth = bandwidth.ok_or_else(|| {
-            ScenarioError::invalid("platform.bandwidth_gbps", "required field is missing")
-        })?;
-        let node_mtbf = node_mtbf.ok_or_else(|| {
-            ScenarioError::invalid("platform.mtbf_years", "required field is missing")
-        })?;
-        let platform = Platform::new(
-            name,
-            nodes as usize,
-            cores as usize,
-            mem,
-            bandwidth,
-            node_mtbf,
-        )
-        .map_err(|e| ScenarioError::invalid("platform", e.to_string()))?;
-        Ok(PlatformSpec::Custom(platform))
-    }
+        },
+        None => {
+            let name = f.str("name")?.ok_or_else(|| f.missing("name"))?;
+            let nodes = f.usize("nodes")?.ok_or_else(|| f.missing("nodes"))?;
+            let cores = f.usize("cores_per_node")?.unwrap_or(1);
+            let mem = f.need(&MEM_PER_NODE)?;
+            let bandwidth = bandwidth.ok_or_else(|| f.missing(PFS_BANDWIDTH.human))?;
+            let node_mtbf = node_mtbf.ok_or_else(|| f.missing(NODE_MTBF.human))?;
+            let platform = Platform::new(name, nodes, cores, mem, bandwidth, node_mtbf)
+                .map_err(|e| ScenarioError::invalid("platform", e.to_string()))?;
+            PlatformSpec::Custom(platform)
+        }
+    };
+    f.done()?;
+    Ok(spec)
 }
 
 fn workload_from_json(v: &Json) -> Result<WorkloadSource, ScenarioError> {
@@ -1146,10 +1111,11 @@ fn workload_from_json(v: &Json) -> Result<WorkloadSource, ScenarioError> {
             )),
         };
     }
-    let pairs = as_object(v, "workload")?;
-    check_keys(pairs, &["classes", "trace"], "workload")?;
-    if let Some(trace) = field(pairs, "trace") {
-        if field(pairs, "classes").is_some() {
+    let mut f = Fields::new(v, "workload")?;
+    let (trace, classes) = (f.get("trace"), f.get("classes"));
+    f.done()?;
+    if let Some(trace) = trace {
+        if classes.is_some() {
             return Err(ScenarioError::invalid(
                 "workload",
                 "give either classes or trace, not both",
@@ -1163,9 +1129,8 @@ fn workload_from_json(v: &Json) -> Result<WorkloadSource, ScenarioError> {
         })?;
         return Ok(WorkloadSource::Trace(spec.to_string()));
     }
-    let classes_v = field(pairs, "classes")
-        .ok_or_else(|| ScenarioError::invalid("workload.classes", "required field is missing"))?;
-    let items = classes_v
+    let items = classes
+        .ok_or_else(|| ScenarioError::invalid("workload.classes", "required field is missing"))?
         .as_array()
         .ok_or_else(|| ScenarioError::invalid("workload.classes", "expected an array"))?;
     if items.is_empty() {
@@ -1186,110 +1151,55 @@ fn class_to_json(c: &AppClass) -> Json {
     Json::obj([
         ("name", Json::str(c.name.clone())),
         ("q_nodes", Json::Num(c.q_nodes as f64)),
-        ("walltime_secs", Json::Num(c.walltime.as_secs())),
+        WALLTIME.entry(c.walltime),
         ("resource_share", Json::Num(c.resource_share)),
-        ("input_bytes", Json::Num(c.input_bytes.as_bytes())),
-        ("output_bytes", Json::Num(c.output_bytes.as_bytes())),
-        ("ckpt_bytes", Json::Num(c.ckpt_bytes.as_bytes())),
-        ("regular_io_bytes", Json::Num(c.regular_io_bytes.as_bytes())),
+        INPUT.entry(c.input_bytes),
+        OUTPUT.entry(c.output_bytes),
+        CKPT.entry(c.ckpt_bytes),
+        REGULAR_IO.entry(c.regular_io_bytes),
     ])
 }
 
 fn class_from_json(v: &Json, path: &str) -> Result<AppClass, ScenarioError> {
-    let pairs = as_object(v, path)?;
-    check_keys(
-        pairs,
-        &[
-            "name",
-            "q_nodes",
-            "walltime_secs",
-            "walltime_hours",
-            "resource_share",
-            "input_bytes",
-            "input_gb",
-            "output_bytes",
-            "output_gb",
-            "ckpt_bytes",
-            "ckpt_gb",
-            "regular_io_bytes",
-            "regular_io_gb",
-        ],
-        path,
-    )?;
-    let name = opt_str_at(pairs, "name", path)?
-        .ok_or_else(|| ScenarioError::invalid(join(path, "name"), "required field is missing"))?;
-    let q_nodes = opt_u64_at(pairs, "q_nodes", path)?.ok_or_else(|| {
-        ScenarioError::invalid(join(path, "q_nodes"), "required field is missing")
-    })?;
+    let mut f = Fields::new(v, path)?;
+    let name = f.str("name")?.ok_or_else(|| f.missing("name"))?;
+    let q_nodes = f.usize("q_nodes")?.ok_or_else(|| f.missing("q_nodes"))?;
     if q_nodes == 0 {
-        return Err(ScenarioError::invalid(
-            join(path, "q_nodes"),
-            "jobs must use at least one node",
-        ));
+        return Err(f.error("q_nodes", "jobs must use at least one node"));
     }
-    let walltime = alt_quantity(
-        pairs,
-        ("walltime_secs", Duration::from_secs as fn(f64) -> Duration),
-        ("walltime_hours", Duration::from_hours),
-        path,
-    )?
-    .ok_or_else(|| {
-        ScenarioError::invalid(join(path, "walltime_hours"), "required field is missing")
-    })?;
+    let walltime = f.need(&WALLTIME)?;
     if !(walltime.is_finite() && walltime.is_positive()) {
-        return Err(ScenarioError::invalid(
-            join(path, "walltime_hours"),
-            "walltime must be positive",
-        ));
+        return Err(f.error(WALLTIME.human, "walltime must be positive"));
     }
-    let resource_share = req_f64(pairs, "resource_share", path)?;
+    let resource_share = f
+        .f64("resource_share")?
+        .ok_or_else(|| f.missing("resource_share"))?;
     if !(resource_share.is_finite() && resource_share > 0.0 && resource_share <= 1.0) {
-        return Err(ScenarioError::invalid(
-            join(path, "resource_share"),
-            "resource share must be in (0, 1]",
-        ));
+        return Err(f.error("resource_share", "resource share must be in (0, 1]"));
     }
-    let volume = |raw_key: &str, gb_key: &str| -> Result<Option<Bytes>, ScenarioError> {
-        let v = alt_quantity(
-            pairs,
-            (raw_key, Bytes::new as fn(f64) -> Bytes),
-            (gb_key, Bytes::from_gb),
-            path,
-        )?;
-        if let Some(b) = v {
-            if !b.is_valid() {
-                return Err(ScenarioError::invalid(
-                    join(path, gb_key),
-                    "volumes must be finite and non-negative",
-                ));
-            }
-        }
-        Ok(v)
+    let mut volume = |q: &Quantity<Bytes>, required: bool| match f.quantity(q)? {
+        Some(b) if b.is_valid() => Ok(b),
+        Some(_) => Err(f.error(q.human, "volumes must be finite and non-negative")),
+        None if required => Err(f.missing(q.human)),
+        None => Ok(Bytes::ZERO),
     };
-    let require = |v: Option<Bytes>, gb_key: &str| -> Result<Bytes, ScenarioError> {
-        v.ok_or_else(|| ScenarioError::invalid(join(path, gb_key), "required field is missing"))
-    };
-    Ok(AppClass {
-        name,
-        q_nodes: q_nodes as usize,
+    let class = AppClass {
+        name: name.to_string(),
+        q_nodes,
         walltime,
         resource_share,
-        input_bytes: require(volume("input_bytes", "input_gb")?, "input_gb")?,
-        output_bytes: require(volume("output_bytes", "output_gb")?, "output_gb")?,
-        ckpt_bytes: require(volume("ckpt_bytes", "ckpt_gb")?, "ckpt_gb")?,
-        regular_io_bytes: volume("regular_io_bytes", "regular_io_gb")?.unwrap_or(Bytes::ZERO),
-    })
+        input_bytes: volume(&INPUT, true)?,
+        output_bytes: volume(&OUTPUT, true)?,
+        ckpt_bytes: volume(&CKPT, true)?,
+        regular_io_bytes: volume(&REGULAR_IO, false)?,
+    };
+    f.done()?;
+    Ok(class)
 }
 
 fn tiers_from_json(v: &Json) -> Result<TiersSpec, ScenarioError> {
     if let Some(k) = v.as_u64() {
-        if k > MAX_TIER_DEPTH as u64 {
-            return Err(ScenarioError::invalid(
-                "tiers",
-                format!("hierarchy depth {k} exceeds the maximum of {MAX_TIER_DEPTH}"),
-            ));
-        }
-        return Ok(TiersSpec::Geometric(k as usize));
+        return Ok(TiersSpec::Geometric(check_tier_depth(k)?));
     }
     let items = v.as_array().ok_or_else(|| {
         ScenarioError::invalid("tiers", "expected a tier count or an array of tier objects")
@@ -1304,59 +1214,21 @@ fn tiers_from_json(v: &Json) -> Result<TiersSpec, ScenarioError> {
 
 fn tier_to_json(t: &TierSpec) -> Json {
     let mut pairs = vec![
-        ("name".to_string(), Json::str(t.name.clone())),
-        (
-            "capacity_bytes".to_string(),
-            Json::Num(t.capacity.as_bytes()),
-        ),
-        (
-            "write_bw_bytes_per_sec".to_string(),
-            Json::Num(t.write_bw.as_bytes_per_sec()),
-        ),
+        ("name", Json::str(t.name.clone())),
+        TIER_CAPACITY.entry(t.capacity),
+        TIER_WRITE_BW.entry(t.write_bw),
     ];
     if t.per_writer_node {
-        pairs.push(("per_writer_node".to_string(), Json::Bool(true)));
+        pairs.push(("per_writer_node", Json::Bool(true)));
     }
-    Json::Obj(pairs)
+    Json::obj(pairs)
 }
 
 fn tier_from_json(v: &Json, path: &str) -> Result<TierSpec, ScenarioError> {
-    let pairs = as_object(v, path)?;
-    check_keys(
-        pairs,
-        &[
-            "name",
-            "capacity_bytes",
-            "capacity_gb",
-            "write_bw_bytes_per_sec",
-            "write_bw_gbps",
-            "per_writer_node",
-        ],
-        path,
-    )?;
-    let name = opt_str_at(pairs, "name", path)?
-        .ok_or_else(|| ScenarioError::invalid(join(path, "name"), "required field is missing"))?;
-    let capacity = alt_quantity(
-        pairs,
-        ("capacity_bytes", Bytes::new as fn(f64) -> Bytes),
-        ("capacity_gb", Bytes::from_gb),
-        path,
-    )?
-    .ok_or_else(|| {
-        ScenarioError::invalid(join(path, "capacity_gb"), "required field is missing")
-    })?;
-    let write_bw = alt_quantity(
-        pairs,
-        (
-            "write_bw_bytes_per_sec",
-            Bandwidth::new as fn(f64) -> Bandwidth,
-        ),
-        ("write_bw_gbps", Bandwidth::from_gbps),
-        path,
-    )?
-    .ok_or_else(|| {
-        ScenarioError::invalid(join(path, "write_bw_gbps"), "required field is missing")
-    })?;
+    let mut f = Fields::new(v, path)?;
+    let name = f.str("name")?.ok_or_else(|| f.missing("name"))?;
+    let capacity = f.need(&TIER_CAPACITY)?;
+    let write_bw = f.need(&TIER_WRITE_BW)?;
     let positive =
         capacity.is_valid() && !capacity.is_zero() && write_bw.is_valid() && !write_bw.is_zero();
     if !positive {
@@ -1365,12 +1237,10 @@ fn tier_from_json(v: &Json, path: &str) -> Result<TierSpec, ScenarioError> {
             "tier capacity and write bandwidth must be positive and finite",
         ));
     }
-    let per_writer_node = match field(pairs, "per_writer_node") {
-        None => false,
-        Some(b) => b.as_bool().ok_or_else(|| {
-            ScenarioError::invalid(join(path, "per_writer_node"), "expected a boolean")
-        })?,
-    };
+    let per_writer_node = f
+        .typed("per_writer_node", Json::as_bool, "expected a boolean")?
+        .unwrap_or(false);
+    f.done()?;
     Ok(if per_writer_node {
         TierSpec::per_node(name, capacity, write_bw)
     } else {
@@ -1397,45 +1267,20 @@ fn failure_class_to_json(c: &FailureClass) -> Json {
 /// hierarchy levels a strike invalidates, or the string `"system"` for
 /// the paper's PFS-only recovery.
 fn failure_class_from_json(v: &Json, path: &str) -> Result<FailureClass, ScenarioError> {
-    let pairs = as_object(v, path)?;
-    check_keys(pairs, &["name", "share", "severity"], path)?;
-    let name = opt_str_at(pairs, "name", path)?
-        .ok_or_else(|| ScenarioError::invalid(join(path, "name"), "required field is missing"))?;
-    let share = req_f64(pairs, "share", path)?;
-    if !(share.is_finite() && (0.0..=1.0).contains(&share)) {
-        return Err(ScenarioError::invalid(
-            join(path, "share"),
-            format!("share must be in [0, 1], got {share}"),
-        ));
-    }
-    let severity = match field(pairs, "severity") {
-        None => {
-            return Err(ScenarioError::invalid(
-                join(path, "severity"),
-                "required field is missing",
-            ))
-        }
+    let mut f = Fields::new(v, path)?;
+    let name = f.str("name")?.ok_or_else(|| f.missing("name"))?;
+    let share = f.f64("share")?.ok_or_else(|| f.missing("share"))?;
+    let severity = match f.get("severity") {
+        None => return Err(f.missing("severity")),
         Some(Json::Str(s)) if s == "system" => FailureClass::SYSTEM,
-        Some(v) => match v.as_u64() {
-            Some(s) if s <= MAX_TIER_DEPTH as u64 => s as usize,
-            Some(s) => {
-                return Err(ScenarioError::invalid(
-                    join(path, "severity"),
-                    format!(
-                        "severity {s} exceeds the maximum depth {MAX_TIER_DEPTH} (use \"system\")"
-                    ),
-                ))
-            }
-            None => {
-                return Err(ScenarioError::invalid(
-                    join(path, "severity"),
-                    "expected a non-negative integer or \"system\"",
-                ))
-            }
-        },
+        Some(v) => v
+            .as_u64()
+            .and_then(|s| usize::try_from(s).ok())
+            .ok_or_else(|| f.error("severity", "expected a non-negative integer or \"system\""))?,
     };
+    f.done()?;
     Ok(FailureClass {
-        name,
+        name: name.to_string(),
         share,
         severity,
     })
@@ -1450,68 +1295,13 @@ fn failure_classes_from_json(v: &Json) -> Result<Vec<FailureClass>, ScenarioErro
         .enumerate()
         .map(|(i, c)| failure_class_from_json(c, &format!("failure_classes[{i}]")))
         .collect::<Result<Vec<FailureClass>, _>>()?;
-    if !classes.is_empty() {
-        coopckpt_failure::validate_classes(&classes)
-            .map_err(|e| ScenarioError::invalid("failure_classes", e))?;
-    }
+    check_failure_classes(&classes)?;
     Ok(classes)
 }
 
-fn burst_buffer_from_json(v: &Json) -> Result<BurstBufferSpec, ScenarioError> {
-    let pairs = as_object(v, "burst_buffer")?;
-    check_keys(
-        pairs,
-        &[
-            "capacity_bytes",
-            "capacity_gb",
-            "write_bw_per_node_bytes_per_sec",
-            "write_bw_per_node_gbps",
-        ],
-        "burst_buffer",
-    )?;
-    let capacity = alt_quantity(
-        pairs,
-        ("capacity_bytes", Bytes::new as fn(f64) -> Bytes),
-        ("capacity_gb", Bytes::from_gb),
-        "burst_buffer",
-    )?
-    .ok_or_else(|| {
-        ScenarioError::invalid("burst_buffer.capacity_gb", "required field is missing")
-    })?;
-    let write_bw_per_node = alt_quantity(
-        pairs,
-        (
-            "write_bw_per_node_bytes_per_sec",
-            Bandwidth::new as fn(f64) -> Bandwidth,
-        ),
-        ("write_bw_per_node_gbps", Bandwidth::from_gbps),
-        "burst_buffer",
-    )?
-    .ok_or_else(|| {
-        ScenarioError::invalid(
-            "burst_buffer.write_bw_per_node_gbps",
-            "required field is missing",
-        )
-    })?;
-    Ok(BurstBufferSpec {
-        capacity,
-        write_bw_per_node,
-    })
-}
-
 fn power_to_json(p: &PowerModel) -> Json {
-    Json::obj([
-        ("idle_w", Json::Num(p.idle_w)),
-        ("compute_w", Json::Num(p.compute_w)),
-        ("io_w", Json::Num(p.io_w)),
-        ("ckpt_w", Json::Num(p.ckpt_w)),
-        ("recovery_w", Json::Num(p.recovery_w)),
-        ("down_w", Json::Num(p.down_w)),
-        ("pfs_static_w", Json::Num(p.pfs_static_w)),
-        ("pfs_active_w", Json::Num(p.pfs_active_w)),
-        ("tier_static_w", Json::Num(p.tier_static_w)),
-        ("tier_active_w", Json::Num(p.tier_active_w)),
-    ])
+    let mut p = *p;
+    Json::obj(POWER_DRAWS.map(|(key, draw)| (key, Json::Num(*draw(&mut p)))))
 }
 
 /// Parses a power block: a bare preset name (`"cielo"`, `"prospective"`),
@@ -1530,56 +1320,26 @@ fn power_from_json(v: &Json) -> Result<PowerModel, ScenarioError> {
     if let Some(name) = v.as_str() {
         return preset(name, "power");
     }
-    let pairs = as_object(v, "power")?;
-    check_keys(
-        pairs,
-        &[
-            "preset",
-            "idle_w",
-            "compute_w",
-            "io_w",
-            "ckpt_w",
-            "recovery_w",
-            "down_w",
-            "pfs_static_w",
-            "pfs_active_w",
-            "tier_static_w",
-            "tier_active_w",
-        ],
-        "power",
-    )?;
-    let mut p = match opt_str_at(pairs, "preset", "power")? {
-        Some(name) => preset(&name, "power.preset")?,
+    let mut f = Fields::new(v, "power")?;
+    let mut p = match f.str("preset")? {
+        Some(name) => preset(name, "power.preset")?,
         None => PowerModel::uniform(0.0),
     };
-    let fields: [(&str, &mut f64); 10] = [
-        ("idle_w", &mut p.idle_w),
-        ("compute_w", &mut p.compute_w),
-        ("io_w", &mut p.io_w),
-        ("ckpt_w", &mut p.ckpt_w),
-        ("recovery_w", &mut p.recovery_w),
-        ("down_w", &mut p.down_w),
-        ("pfs_static_w", &mut p.pfs_static_w),
-        ("pfs_active_w", &mut p.pfs_active_w),
-        ("tier_static_w", &mut p.tier_static_w),
-        ("tier_active_w", &mut p.tier_active_w),
-    ];
-    for (key, slot) in fields {
-        if let Some(w) = opt_f64_at(pairs, key, "power")? {
-            *slot = w;
+    for (key, draw) in POWER_DRAWS {
+        if let Some(w) = f.f64(key)? {
+            *draw(&mut p) = w;
         }
     }
+    f.done()?;
     p.validate()
         .map_err(|e| ScenarioError::invalid("power", e))?;
     Ok(p)
 }
 
 fn sweep_from_json(v: &Json) -> Result<Sweep, ScenarioError> {
-    let pairs = as_object(v, "sweep")?;
-    check_keys(pairs, &["axis", "values"], "sweep")?;
-    let axis = opt_str_at(pairs, "axis", "sweep")?
-        .ok_or_else(|| ScenarioError::invalid("sweep.axis", "required field is missing"))?;
-    let values = match field(pairs, "values") {
+    let mut f = Fields::new(v, "sweep")?;
+    let axis = f.str("axis")?.ok_or_else(|| f.missing("axis"))?;
+    let values = match f.get("values") {
         None => None,
         Some(v) => Some(
             v.as_array()
@@ -1592,7 +1352,8 @@ fn sweep_from_json(v: &Json) -> Result<Sweep, ScenarioError> {
                 .collect::<Result<Vec<f64>, _>>()?,
         ),
     };
-    Sweep::new(&axis, values)
+    f.done()?;
+    Sweep::new(axis, values)
 }
 
 #[cfg(test)]
@@ -1679,7 +1440,6 @@ mod tests {
         assert_eq!(cfg.failures, base.failures);
         assert_eq!(cfg.regular_io_chunks, base.regular_io_chunks);
         assert_eq!(cfg.workload_slack, base.workload_slack);
-        assert_eq!(cfg.burst_buffer, base.burst_buffer);
         assert_eq!(cfg.tiers, base.tiers);
 
         // And the scenario itself survives a JSON hop.
@@ -1733,6 +1493,12 @@ mod tests {
                     "output_gb": 1, "ckpt_gb": 1}]}}"#,
                 "workload.classes",
             ),
+            (r#"{"regular_io_chunks": 0}"#, "regular_io_chunks"),
+            (r#"{"regular_io_chunks": 4294967297}"#, "regular_io_chunks"),
+            (
+                r#"{"measure_margin_days": -1, "span_days": 2, "samples": 1}"#,
+                "measure_margin_secs",
+            ),
         ] {
             let sc = Scenario::parse(doc);
             let err = match sc {
@@ -1745,25 +1511,28 @@ mod tests {
 
     #[test]
     fn explicit_tiers_and_burst_buffer_parse() {
-        let sc = Scenario::parse(
-            r#"{
-                "tiers": [
-                    {"name": "local", "capacity_gb": 100, "write_bw_gbps": 2, "per_writer_node": true},
-                    {"name": "bb", "capacity_gb": 1000, "write_bw_gbps": 500}
-                ],
-                "burst_buffer": {"capacity_gb": 50, "write_bw_per_node_gbps": 1}
-            }"#,
-        )
-        .unwrap();
-        let TiersSpec::Explicit(tiers) = &sc.tiers else {
+        let tiers = r#""tiers": [
+            {"name": "local", "capacity_gb": 100, "write_bw_gbps": 2, "per_writer_node": true},
+            {"name": "bb", "capacity_gb": 1000, "write_bw_gbps": 500}
+        ]"#;
+        let sc = Scenario::parse(&format!("{{{tiers}}}")).unwrap();
+        let TiersSpec::Explicit(tiers_read) = &sc.tiers else {
             panic!("explicit tiers expected");
         };
-        assert_eq!(tiers.len(), 2);
-        assert!(tiers[0].per_writer_node);
-        assert!(!tiers[1].per_writer_node);
-        assert_eq!(sc.burst_buffer.unwrap().capacity, Bytes::from_gb(50.0));
+        assert_eq!(tiers_read.len(), 2);
+        assert!(tiers_read[0].per_writer_node);
+        assert!(!tiers_read[1].per_writer_node);
         let back = Scenario::parse(&sc.to_json_string()).unwrap();
         assert_eq!(back, sc);
+        // A burst buffer is a one-tier `tiers` stack; its old key is unknown.
+        let bb = r#""burst_buffer": {"capacity_gb": 50, "write_bw_per_node_gbps": 1}"#;
+        match Scenario::parse(&format!("{{{tiers}, {bb}}}")).unwrap_err() {
+            ScenarioError::Invalid { field, message } => {
+                assert_eq!(field, "burst_buffer");
+                assert!(message.contains("tiers"), "{message}");
+            }
+            other => panic!("expected Invalid, got {other:?}"),
+        }
     }
 
     #[test]

@@ -27,7 +27,7 @@ use crate::strategy::{CheckpointPolicy, IoDiscipline};
 use coopckpt_des::{Duration, EventKey, Process, Simulator, StepControl, Time};
 use coopckpt_energy::{EnergyMeter, Phase};
 use coopckpt_failure::{FailureClass, FailureTrace, Xoshiro256pp};
-use coopckpt_io::hierarchy::{DrainHop, Placement, RetainedCopies, StorageHierarchy, TierSpec};
+use coopckpt_io::hierarchy::{DrainHop, Placement, RetainedCopies, StorageHierarchy};
 use coopckpt_io::{
     DegradedShare, EqualShare, LinearShare, Pfs, RequestId, RequestQueue, TransferId,
 };
@@ -407,20 +407,7 @@ impl Engine {
         };
         drop(trace_span);
 
-        // The hierarchy config wins; a bare `burst_buffer` maps onto the
-        // equivalent one-tier stack (node-local absorb semantics).
-        let tier_specs = if !config.tiers.is_empty() {
-            config.tiers.clone()
-        } else if let Some(spec) = config.burst_buffer {
-            vec![TierSpec::per_node(
-                "burst-buffer",
-                spec.capacity,
-                spec.write_bw_per_node,
-            )]
-        } else {
-            Vec::new()
-        };
-        let storage = StorageHierarchy::new(tier_specs);
+        let storage = StorageHierarchy::new(config.tiers.clone());
 
         let (w0, w1) = ledger.window();
         let meter = config

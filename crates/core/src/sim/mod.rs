@@ -21,7 +21,7 @@ pub mod trace;
 use crate::strategy::Strategy;
 use coopckpt_des::Duration;
 use coopckpt_failure::Xoshiro256pp;
-use coopckpt_model::{AppClass, Bandwidth, Bytes, Platform};
+use coopckpt_model::{AppClass, Bandwidth, Platform};
 use coopckpt_stats::WasteLedger;
 use coopckpt_workload::generator::WorkloadSpec;
 use coopckpt_workload::trace_workload::{JobStream, TraceClasses, TraceSpec};
@@ -119,22 +119,6 @@ impl std::str::FromStr for InterferenceKind {
     }
 }
 
-/// Burst-buffer tier configuration (the paper's Section 8 extension).
-///
-/// Checkpoints are absorbed by node-local burst buffers at
-/// `write_bw_per_node × q` and drained to the PFS in the background; the
-/// job blocks only for the absorb. A checkpoint becomes durable (usable
-/// for restart) when its drain completes. Admission control: when the
-/// aggregate buffer lacks space, or the job's previous drain is still in
-/// flight, the commit falls back to the direct PFS path.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct BurstBufferSpec {
-    /// Aggregate burst-buffer capacity across the platform.
-    pub capacity: Bytes,
-    /// Absorb bandwidth contributed by each node of the writing job.
-    pub write_bw_per_node: Bandwidth,
-}
-
 /// Failure-injection model.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum FailureModel {
@@ -211,10 +195,6 @@ pub struct SimConfig {
     /// whole measurement window even under efficient strategies (the paper
     /// enforces ≥ 98 % enrollment over the segment).
     pub workload_slack: f64,
-    /// Optional burst-buffer tier (None = the paper's base platform).
-    /// Shorthand for a one-tier [`tiers`](SimConfig::tiers) stack; ignored
-    /// when `tiers` is non-empty.
-    pub burst_buffer: Option<BurstBufferSpec>,
     /// Multi-level checkpoint storage hierarchy, shallow to deep (empty =
     /// no tiers). Checkpoints are absorbed by the shallowest tier with
     /// space and drain tier-by-tier to the PFS in the background; see
@@ -266,7 +246,6 @@ impl SimConfig {
             failures: FailureModel::Exponential,
             regular_io_chunks: 16,
             workload_slack: 1.5,
-            burst_buffer: None,
             tiers: Vec::new(),
             failure_classes: Vec::new(),
             record_trace: false,
@@ -310,15 +289,7 @@ impl SimConfig {
         self
     }
 
-    /// Adds a burst-buffer tier (paper Section 8 extension).
-    pub fn with_burst_buffer(mut self, spec: BurstBufferSpec) -> Self {
-        self.burst_buffer = Some(spec);
-        self
-    }
-
     /// Installs a multi-level storage hierarchy (shallow to deep).
-    /// Supersedes [`with_burst_buffer`](SimConfig::with_burst_buffer) when
-    /// both are set.
     pub fn with_tiers(mut self, tiers: Vec<TierSpec>) -> Self {
         self.tiers = tiers;
         self
@@ -600,10 +571,11 @@ mod tests {
             Strategy::ordered(CheckpointPolicy::Daly),
         )
         .with_span(Duration::from_days(4.0));
-        let with_bb = base.clone().with_burst_buffer(BurstBufferSpec {
-            capacity: Bytes::from_tb(50.0),
-            write_bw_per_node: Bandwidth::from_gbps(4.0),
-        });
+        let with_bb = base.clone().with_tiers(vec![TierSpec::per_node(
+            "burst-buffer",
+            Bytes::from_tb(50.0),
+            Bandwidth::from_gbps(4.0),
+        )]);
         let plain = run_simulation(&base, 5);
         let burst = run_simulation(&with_bb, 5);
         assert!(
@@ -622,10 +594,11 @@ mod tests {
         let p = tiny_platform();
         let cfg = SimConfig::new(p.clone(), tiny_classes(&p), Strategy::least_waste())
             .with_span(Duration::from_days(3.0))
-            .with_burst_buffer(BurstBufferSpec {
-                capacity: Bytes::from_gb(1.0),
-                write_bw_per_node: Bandwidth::from_gbps(4.0),
-            });
+            .with_tiers(vec![TierSpec::per_node(
+                "burst-buffer",
+                Bytes::from_gb(1.0),
+                Bandwidth::from_gbps(4.0),
+            )]);
         let r = run_simulation(&cfg, 8);
         assert!(r.checkpoints_committed > 0);
         assert!(r.waste_ratio > 0.0 && r.waste_ratio <= 1.0);
@@ -637,10 +610,11 @@ mod tests {
         for strat in Strategy::all_seven() {
             let cfg = SimConfig::new(p.clone(), tiny_classes(&p), strat)
                 .with_span(Duration::from_days(2.0))
-                .with_burst_buffer(BurstBufferSpec {
-                    capacity: Bytes::from_tb(10.0),
-                    write_bw_per_node: Bandwidth::from_gbps(2.0),
-                });
+                .with_tiers(vec![TierSpec::per_node(
+                    "burst-buffer",
+                    Bytes::from_tb(10.0),
+                    Bandwidth::from_gbps(2.0),
+                )]);
             let a = run_simulation(&cfg, 3);
             let b = run_simulation(&cfg, 3);
             assert_eq!(a.waste_ratio, b.waste_ratio, "{}", strat.name());
