@@ -1,12 +1,11 @@
-//! Statistics substrate: online moments, quantiles, candlestick summaries,
-//! waste ledgers, and plain-text/CSV table rendering.
+//! Statistics substrate: quantiles, candlestick summaries, waste ledgers,
+//! and plain-text/CSV table rendering.
 //!
 //! The paper's Monte-Carlo methodology (Section 5) reports, per operating
 //! point, the mean together with the first/last deciles and quartiles over
 //! ≥1000 simulation instances, measured on a fixed-length segment that
 //! excludes the first and last simulated days. The pieces here mirror that:
 //!
-//! * [`OnlineStats`] — Welford's numerically stable streaming moments.
 //! * [`Candlestick`] — the five-number summary (d1/q1/mean/q3/d9) drawn in
 //!   the paper's figures, computed from a sample buffer.
 //! * [`WasteLedger`] — node-second accounting by category, clipped to a
@@ -16,22 +15,13 @@
 //!   project for trace-driven workloads; platform totals are the in-order
 //!   fold of the project rows, so rows sum to totals bit-exactly.
 //! * [`Table`] — aligned text / CSV rendering for the bench binaries.
-//! * [`P2Quantile`] — the O(1)-memory P² streaming quantile estimator for
-//!   sweeps too large to buffer (implemented in `coopckpt-obs`, the
-//!   workspace's leaf crate, so the telemetry layer can reuse it;
-//!   re-exported here under its historical path).
 
 pub mod ledger;
-pub mod online;
 pub mod project;
 pub mod quantile;
 pub mod table;
 
-pub use coopckpt_obs::p2;
-
 pub use ledger::{Category, WasteLedger};
-pub use online::OnlineStats;
-pub use p2::P2Quantile;
 pub use project::ProjectLedger;
 pub use quantile::{quantile, Candlestick, Samples};
 pub use table::Table;
