@@ -2,26 +2,115 @@
 //!
 //! PR 7 replaced the DES core's binary heap with a bucketed calendar
 //! queue; the old heap stays alive behind `EventQueue::heap_oracle()` as
-//! a test oracle. Two layers of evidence keep the swap honest:
+//! a test oracle. Three layers of evidence keep the swap honest:
 //!
-//! * **Queue-level** — proptest drives random interleavings of schedule /
-//!   cancel (live, stale, and double) / pop / peek through both backends
-//!   and demands identical observable behaviour at every step, including
-//!   the FIFO tie-break for equal timestamps and `None` for stale cancels.
+//! * **Queue-level, random** — proptest drives random interleavings of
+//!   schedule / cancel (live, stale, and double) / pop / peek through both
+//!   backends and demands identical observable behaviour at every step,
+//!   including the FIFO tie-break for equal timestamps and `None` for stale
+//!   cancels.
+//! * **Queue-level, engine-shaped** — long seeded scripts shaped like a
+//!   replay (a sparse failure trace queued up front, dense re-armed timers,
+//!   cancellations, equal-time bursts, subnormal gaps beside far events),
+//!   long enough for the calendar to re-estimate its bucket width mid-run.
 //! * **Engine-level** — full simulations (every paper strategy, flat and
 //!   3-tier storage, classless and mixed failure-class presets) run once
 //!   per backend via the process-wide [`use_heap_oracle`] switch and must
 //!   produce bit-identical results *and* bit-identical execution traces.
 //!
-//! A third layer — the `paper_grid` campaign diffed at tolerance 0 — lives
+//! A fourth layer — the `paper_grid` campaign diffed at tolerance 0 — lives
 //! in `report_stability.rs` behind the `heap-oracle` feature.
 
 use coopckpt::prelude::*;
 use coopckpt::sim::FailureClass;
-use coopckpt_des::{EventQueue, Time as DesTime};
+use coopckpt_des::{EventKey, EventQueue, Time as DesTime};
+use coopckpt_failure::Xoshiro256pp;
 // No glob import of proptest::prelude: it would pull in the `Strategy`
 // strategy trait, shadowing the paper's `Strategy` type.
-use proptest::{prop_assert, prop_assert_eq, proptest};
+use proptest::proptest;
+
+// ---------------------------------------------------------------------------
+// Both backends in lockstep.
+
+/// The calendar queue and the heap oracle driven through the same
+/// operations, each result compared on the spot. An event's payload is its
+/// index in the order of scheduling, which also names it for [`cancel`].
+///
+/// [`cancel`]: Lockstep::cancel
+struct Lockstep {
+    calendar: EventQueue<usize>,
+    heap: EventQueue<usize>,
+    // The same operations yield the same key sequence on both backends, but
+    // keys are backend-private (slot layout differs) — track them per side.
+    cal_keys: Vec<EventKey>,
+    heap_keys: Vec<EventKey>,
+    /// Operations applied so far.
+    ops: usize,
+}
+
+impl Lockstep {
+    fn new() -> Self {
+        let (calendar, heap) = (EventQueue::new(), EventQueue::heap_oracle());
+        assert!(!calendar.is_heap_oracle() && heap.is_heap_oracle());
+        Lockstep {
+            calendar,
+            heap,
+            cal_keys: Vec::new(),
+            heap_keys: Vec::new(),
+            ops: 0,
+        }
+    }
+
+    /// Schedules the next event at `t` and returns its index.
+    fn schedule(&mut self, t: f64) -> usize {
+        let id = self.cal_keys.len();
+        let t = DesTime::from_secs(t);
+        self.cal_keys.push(self.calendar.schedule(t, id));
+        self.heap_keys.push(self.heap.schedule(t, id));
+        self.step();
+        id
+    }
+
+    /// Cancels event `id` (live, fired or already cancelled alike).
+    fn cancel(&mut self, id: usize) {
+        let a = self.calendar.cancel(self.cal_keys[id]);
+        let b = self.heap.cancel(self.heap_keys[id]);
+        assert_eq!(a, b, "cancel of event {id} diverged at op {}", self.ops);
+        self.step();
+    }
+
+    fn pop(&mut self) -> Option<(f64, usize)> {
+        let a = self.calendar.pop();
+        let b = self.heap.pop();
+        assert_eq!(a, b, "pop diverged at op {}", self.ops);
+        self.step();
+        a.map(|(t, id)| (t.as_secs(), id))
+    }
+
+    fn peek(&mut self) {
+        let a = self.calendar.peek_time();
+        let b = self.heap.peek_time();
+        assert_eq!(a, b, "peek diverged at op {}", self.ops);
+        self.step();
+    }
+
+    fn step(&mut self) {
+        assert_eq!(
+            self.calendar.len(),
+            self.heap.len(),
+            "len after op {}",
+            self.ops
+        );
+        assert_eq!(self.calendar.is_empty(), self.heap.is_empty());
+        self.ops += 1;
+    }
+
+    /// Pops whatever is left: the full residual order must agree too.
+    fn drain(mut self) {
+        while self.pop().is_some() {}
+        assert!(self.calendar.is_empty() && self.heap.is_empty());
+    }
+}
 
 // ---------------------------------------------------------------------------
 // Queue-level differential: random op interleavings.
@@ -33,7 +122,7 @@ use proptest::{prop_assert, prop_assert_eq, proptest};
 #[derive(Debug, Clone, Copy)]
 enum Op {
     Schedule(f64),
-    /// Cancel the key at `index % issued` (twice-cancelled keys and keys
+    /// Cancel the event at `index % issued` (twice-cancelled keys and keys
     /// whose slot was since recycled both decode here).
     Cancel(usize),
     Pop,
@@ -52,48 +141,24 @@ fn decode(selector: u8, time: f64) -> Op {
 /// Applies the same op script to both backends, asserting identical
 /// observable behaviour after every single step.
 fn run_differential(script: &[(u8, f64)]) {
-    let mut calendar: EventQueue<usize> = EventQueue::new();
-    let mut heap: EventQueue<usize> = EventQueue::heap_oracle();
-    assert!(!calendar.is_heap_oracle() && heap.is_heap_oracle());
-    // The same script yields the same key sequence on both backends, but
-    // keys are backend-private (slot layout differs) — track them per side.
-    let mut cal_keys = Vec::new();
-    let mut heap_keys = Vec::new();
-    for (i, &(selector, time)) in script.iter().enumerate() {
+    let mut q = Lockstep::new();
+    for &(selector, time) in script {
         match decode(selector, time) {
             Op::Schedule(t) => {
-                cal_keys.push(calendar.schedule(DesTime::from_secs(t), i));
-                heap_keys.push(heap.schedule(DesTime::from_secs(t), i));
+                q.schedule(t);
             }
             Op::Cancel(raw) => {
-                if !cal_keys.is_empty() {
-                    let k = raw % cal_keys.len();
-                    let a = calendar.cancel(cal_keys[k]);
-                    let b = heap.cancel(heap_keys[k]);
-                    prop_assert_eq!(a, b, "cancel #{} diverged", i);
+                if !q.cal_keys.is_empty() {
+                    q.cancel(raw % q.cal_keys.len());
                 }
             }
             Op::Pop => {
-                let a = calendar.pop();
-                let b = heap.pop();
-                prop_assert_eq!(a, b, "pop #{} diverged", i);
+                q.pop();
             }
-            Op::Peek => {
-                prop_assert_eq!(calendar.peek_time(), heap.peek_time(), "peek #{}", i);
-            }
-        }
-        prop_assert_eq!(calendar.len(), heap.len(), "len after op #{}", i);
-        prop_assert_eq!(calendar.is_empty(), heap.is_empty());
-    }
-    // Drain whatever is left: the full residual order must agree too.
-    loop {
-        let (a, b) = (calendar.pop(), heap.pop());
-        prop_assert_eq!(a, b, "drain diverged");
-        if a.is_none() {
-            prop_assert!(calendar.is_empty() && heap.is_empty());
-            return;
+            Op::Peek => q.peek(),
         }
     }
+    q.drain();
 }
 
 proptest! {
@@ -129,6 +194,119 @@ proptest! {
             .map(|&(s, t)| (if (2..=4).contains(&(s % 10)) { 5 } else { s }, t))
             .collect();
         run_differential(&script);
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Queue-level differential: engine-shaped scripts.
+
+/// Operations per engine-shaped script, before the final drain.
+const ENGINE_SCRIPT_OPS: usize = 20_000;
+
+/// Re-armed timers live at once, about the number of jobs a Cielo replay
+/// keeps running.
+const TIMERS: usize = 160;
+
+const DAY: f64 = 86_400.0;
+
+/// Replays a seeded, replay-shaped script through both backends. `far`
+/// events are queued first, like the failure trace at t = 0. Then
+/// [`TIMERS`] timers fire and re-arm at `now + delay`, where `now` is the
+/// last popped time, so time only moves forward. About a fifth of the
+/// timers are cancelled and re-armed before they fire, as the engine
+/// re-arms checkpoint and milestone events, and now and then a burst of
+/// equal-time one-shot events lands at a single instant.
+fn run_engine_shaped(seed: u64, far: &[f64], delay: impl Fn(&mut Xoshiro256pp) -> f64) {
+    let mut rng = Xoshiro256pp::seed_from_u64(seed);
+    let mut q = Lockstep::new();
+    for &t in far {
+        q.schedule(t);
+    }
+    // `timer_of[id]` is the timer that event `id` belongs to, if any, and
+    // `timers[j]` the pending event of timer `j`.
+    let mut timer_of: Vec<Option<usize>> = vec![None; far.len()];
+    let mut timers = Vec::with_capacity(TIMERS);
+    for j in 0..TIMERS {
+        timers.push(q.schedule(delay(&mut rng)));
+        timer_of.push(Some(j));
+    }
+    let mut now = 0.0;
+    while q.ops < ENGINE_SCRIPT_OPS {
+        match rng.next_bounded(100) {
+            0..=74 => {
+                let Some((t, id)) = q.pop() else { continue };
+                assert!(t >= now, "time went backwards");
+                now = t;
+                if let Some(j) = timer_of[id] {
+                    timers[j] = q.schedule(now + delay(&mut rng));
+                    timer_of.push(Some(j));
+                }
+            }
+            75..=92 => {
+                let j = rng.next_bounded(TIMERS as u64) as usize;
+                q.cancel(timers[j]);
+                timers[j] = q.schedule(now + delay(&mut rng));
+                timer_of.push(Some(j));
+            }
+            93..=95 => {
+                let t = now + delay(&mut rng);
+                for _ in 0..2 + rng.next_bounded(30) {
+                    q.schedule(t);
+                    timer_of.push(None);
+                }
+            }
+            _ => q.peek(),
+        }
+    }
+    q.drain();
+}
+
+/// Exponential delays with a one-minute mean: the near-term churn of
+/// checkpoint, I/O and milestone events.
+fn minute_delays(rng: &mut Xoshiro256pp) -> f64 {
+    -60.0 * rng.next_f64_open().ln()
+}
+
+/// A sparse failure trace: `n` sorted times spread over `days`.
+fn failure_trace(seed: u64, n: usize, days: f64) -> Vec<f64> {
+    let mut rng = Xoshiro256pp::seed_from_u64(seed ^ 0x5eed);
+    let mut times: Vec<f64> = (0..n).map(|_| rng.next_f64() * days * DAY).collect();
+    times.sort_by(f64::total_cmp);
+    times
+}
+
+/// The trace-replay shape: ~1,000 failures over 45 days queued up front,
+/// dense minute-scale timers beside them.
+#[test]
+fn backends_agree_on_replay_shaped_scripts() {
+    for seed in 1..=3 {
+        run_engine_shaped(seed, &failure_trace(seed, 1_000, 45.0), minute_delays);
+    }
+}
+
+/// The same replay shape over a week, with a denser failure trace.
+#[test]
+fn backends_agree_on_a_dense_week_of_failures() {
+    run_engine_shaped(4, &failure_trace(4, 2_000, 7.0), minute_delays);
+}
+
+/// Timers `k × 1e-300` s apart, right beside events at 5e6 s. A bucket
+/// width fitted to the cluster maps the far events past `i64::MAX` virtual
+/// buckets, so their index saturates. One re-arm in 64 jumps 5e6 s ahead,
+/// so the cluster thins out and time reaches the far events. From there a
+/// `k × 1e-300` delay adds nothing (`5e6 + 1e-300 == 5e6`), and re-armed
+/// timers pile up in equal-time clusters.
+#[test]
+fn backends_agree_on_subnormal_gaps_beside_far_events() {
+    for seed in 1..=2 {
+        let far: Vec<f64> = (0..1_000).map(|i| 5e6 + (i / 4) as f64).collect();
+        run_engine_shaped(seed, &far, |rng| {
+            if rng.next_bounded(64) == 0 {
+                5e6
+            } else {
+                (1 + rng.next_bounded(64)) as f64 * 1e-300
+            }
+        });
     }
 }
 
