@@ -22,8 +22,24 @@
 //!   span) and jumps the cursor there.
 //!
 //! The bucket count tracks the live population (doubling above 2 events
-//! per bucket, shrinking below 1/4) and each rebuild re-estimates the
-//! width from the live time span, targeting ~2 events per bucket.
+//! per bucket, shrinking below 1/4). Each rebuild sets the width from the
+//! spacing of the events about to fire, as Brown's own resize rule does:
+//! take the 32 earliest live times, average their consecutive gaps, drop
+//! the gaps above twice that average, and use three times the mean of the
+//! rest. The next events then land about three to a bucket however far the
+//! population reaches, so a failure trace queued over 45 days no longer
+//! stretches the buckets the next minute's timers share. A trimmed mean of
+//! 0 means an equal-time cluster, which no width can split; the width then
+//! falls back to twice the live time span per event.
+//!
+//! The spacing of the next events drifts without the population moving, so
+//! pops re-estimate too once they get expensive. A pop rebuilds when the
+//! pops since the last rebuild reach a *patience* of `max(len, 16)` and
+//! the entries they compared average more than 4 per pop. Each
+//! cost-triggered rebuild doubles the patience, so futile re-estimates
+//! (an equal-time cluster again) stay logarithmic in the number of pops.
+//! Rebuilds reuse the bucket vectors. None of this touches the pop order,
+//! which `(time, seq)` alone fixes.
 //!
 //! [`EventQueue`]: super::EventQueue
 
@@ -32,6 +48,18 @@ use crate::time::Time;
 
 /// Smallest bucket array; also the shrink floor.
 const MIN_BUCKETS: usize = 16;
+
+/// Earliest live events whose spacing sets the bucket width.
+const WIDTH_SAMPLE: usize = 32;
+
+/// Bucket width in trimmed mean gaps between those events.
+const GAPS_PER_BUCKET: f64 = 3.0;
+
+/// Entries compared per pop above which pops count as expensive.
+const EXPENSIVE_ENTRIES_PER_POP: u64 = 4;
+
+/// Smallest patience: pops before cost may trigger a rebuild.
+const MIN_PATIENCE: u64 = 16;
 
 /// Calendar-internal telemetry, accumulated as plain integers so the hot
 /// path never touches an atomic: the telemetry switch is sampled once at
@@ -42,7 +70,7 @@ const MIN_BUCKETS: usize = 16;
 /// [`EventQueue::flush_telemetry`]: super::EventQueue::flush_telemetry
 #[derive(Debug, Default, Clone, Copy)]
 pub(super) struct CalendarStats {
-    /// Bucket-array rebuilds (grow or shrink).
+    /// Bucket-array rebuilds (grow, shrink or cost-triggered).
     pub(super) resizes: u64,
     /// Bucket scans per successful `next_slot`: count/sum/max.
     pub(super) scans_count: u64,
@@ -95,6 +123,13 @@ pub(super) struct CalendarQueue<E> {
     /// maps to a virtual bucket below it.
     cursor: i64,
     len: usize,
+    /// Pops since the last rebuild, and the entries `next_slot` compared
+    /// since then: the cost trigger's tallies, kept whether telemetry is on
+    /// or off.
+    pops: u64,
+    compared: u64,
+    /// Pops since the last rebuild before cost may trigger the next one.
+    patience: u64,
     /// Whether telemetry was enabled when this queue was built; gates every
     /// `stats` update so the disabled path costs one predictable branch.
     track: bool,
@@ -114,6 +149,9 @@ impl<E> CalendarQueue<E> {
             width: 1.0,
             cursor: 0,
             len: 0,
+            pops: 0,
+            compared: 0,
+            patience: MIN_PATIENCE,
             track: coopckpt_obs::enabled(),
             stats: CalendarStats::default(),
         }
@@ -215,6 +253,12 @@ impl<E> CalendarQueue<E> {
         self.free.push(slot);
         self.len -= 1;
         self.maybe_shrink();
+        self.pops += 1;
+        if self.pops >= self.patience && self.compared > EXPENSIVE_ENTRIES_PER_POP * self.pops {
+            let patience = self.patience;
+            self.rebuild();
+            self.patience = self.patience.max(2 * patience);
+        }
         Some((time, payload))
     }
 
@@ -226,6 +270,9 @@ impl<E> CalendarQueue<E> {
         }
         self.cursor = 0;
         self.len = 0;
+        self.pops = 0;
+        self.compared = 0;
+        self.patience = MIN_PATIENCE;
     }
 
     /// Removes the bucket slot at `(b, pos)` via `swap_remove`, fixing the
@@ -252,6 +299,7 @@ impl<E> CalendarQueue<E> {
             scanned += 1;
             entries += self.buckets[b].len() as u64;
             if let Some(slot) = self.min_in_year(b, self.cursor) {
+                self.compared += entries;
                 if self.track {
                     self.stats.scan(scanned, entries);
                 }
@@ -280,6 +328,7 @@ impl<E> CalendarQueue<E> {
         }
         let slot = best.expect("len > 0 implies a live event");
         self.cursor = self.vbucket(self.entries[slot as usize].time);
+        self.compared += entries + self.len as u64;
         if self.track {
             // The fallback walked every bucket, and every entry, a second
             // time.
@@ -320,33 +369,25 @@ impl<E> CalendarQueue<E> {
         }
     }
 
-    /// Rebuilds the bucket array sized for the current population: bucket
-    /// count is the next power of two ≥ `len`, width re-estimated so a
-    /// uniform spread lands ~2 live events per bucket. O(len), amortized
-    /// over the ≥ len/2 inserts or removals since the last rebuild.
+    /// Rebuilds the bucket array for the current population: the bucket
+    /// count is the next power of two ≥ `len`, and the width is re-fitted
+    /// to the earliest live events (see [`fit_width`]). O(len), amortized
+    /// over the ≥ len/2 inserts or removals, or the ≥ len expensive pops,
+    /// since the last rebuild.
+    ///
+    /// [`fit_width`]: CalendarQueue::fit_width
     fn rebuild(&mut self) {
         if self.track {
             self.stats.resizes += 1;
         }
-        let target = self.len.next_power_of_two().max(MIN_BUCKETS);
-        let live: Vec<u32> = self.buckets.iter().flatten().copied().collect();
+        let mut live = Vec::with_capacity(self.len);
+        for bucket in &mut self.buckets {
+            live.append(bucket);
+        }
         debug_assert_eq!(live.len(), self.len);
-        let mut min_t = f64::INFINITY;
-        let mut max_t = f64::NEG_INFINITY;
-        for &slot in &live {
-            let t = self.entries[slot as usize].time.as_secs();
-            min_t = min_t.min(t);
-            max_t = max_t.max(t);
-        }
-        if self.len >= 2 && max_t > min_t {
-            self.width = (max_t - min_t) / self.len as f64 * 2.0;
-        }
-        if !(self.width.is_finite() && self.width > 0.0) {
-            // Degenerate span (all-equal or pathological times): any
-            // positive width is correct, ordering comes from (time, seq).
-            self.width = 1.0;
-        }
-        self.buckets = vec![Vec::new(); target];
+        self.width = self.fit_width(&mut live);
+        let target = self.len.next_power_of_two().max(MIN_BUCKETS);
+        self.buckets.resize_with(target, Vec::new);
         for &slot in &live {
             let vb = self.vbucket(self.entries[slot as usize].time);
             let b = self.phys(vb);
@@ -354,8 +395,58 @@ impl<E> CalendarQueue<E> {
             self.entries[slot as usize].pos = self.buckets[b].len() as u32;
             self.buckets[b].push(slot);
         }
-        if self.len > 0 {
-            self.cursor = self.vbucket(Time::from_secs(min_t));
+        if let Some(&first) = live.first() {
+            self.cursor = self.vbucket(self.entries[first as usize].time);
+        }
+        self.pops = 0;
+        self.compared = 0;
+        self.patience = (self.len as u64).max(MIN_PATIENCE);
+    }
+
+    /// The bucket width for the live slots in `live`: [`GAPS_PER_BUCKET`]
+    /// times the trimmed mean gap between the [`WIDTH_SAMPLE`] earliest,
+    /// which it moves to the front of `live` in time order. An equal-time
+    /// head falls back to twice the live span per event; a degenerate span
+    /// keeps the current width, and a non-finite one gives 1 s. Any positive
+    /// width is correct: ordering comes from `(time, seq)`.
+    fn fit_width(&self, live: &mut [u32]) -> f64 {
+        let time = |slot: &u32| self.entries[*slot as usize].time.as_secs();
+        let by_time = |a: &u32, b: &u32| time(a).total_cmp(&time(b));
+        let k = live.len().min(WIDTH_SAMPLE);
+        if k < live.len() {
+            live.select_nth_unstable_by(k, by_time);
+        }
+        let head = &mut live[..k];
+        head.sort_unstable_by(by_time);
+        let mut width = 0.0;
+        if k >= 2 {
+            // The consecutive gaps telescope: their mean is the head's span
+            // over k - 1.
+            let mean = (time(&head[k - 1]) - time(&head[0])) / (k - 1) as f64;
+            let (sum, n) = head
+                .windows(2)
+                .map(|w| time(&w[1]) - time(&w[0]))
+                .filter(|&gap| gap <= 2.0 * mean)
+                .fold((0.0, 0u32), |(sum, n), gap| (sum + gap, n + 1));
+            width = GAPS_PER_BUCKET * sum / f64::from(n.max(1));
+        }
+        if !(width.is_finite() && width > 0.0) {
+            let (min_t, max_t) = live
+                .iter()
+                .map(time)
+                .fold((f64::INFINITY, f64::NEG_INFINITY), |(lo, hi), t| {
+                    (lo.min(t), hi.max(t))
+                });
+            width = if live.len() >= 2 && max_t > min_t {
+                (max_t - min_t) / live.len() as f64 * 2.0
+            } else {
+                self.width
+            };
+        }
+        if width.is_finite() && width > 0.0 {
+            width
+        } else {
+            1.0
         }
     }
 }
@@ -486,6 +577,89 @@ mod tests {
             "entries per pop {entries} vs buckets per pop {buckets}"
         );
         assert!(stats.entries_max >= 150, "max {}", stats.entries_max);
+    }
+
+    /// A fixed xorshift stream of exponential delays with a one-minute
+    /// mean: the near-term churn of checkpoint and milestone timers.
+    fn minute_delays() -> impl FnMut() -> f64 {
+        let mut x = 0x9e37_79b9_7f4a_7c15u64;
+        move || {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            let u = (x >> 11) as f64 / (1u64 << 53) as f64;
+            -60.0 * (1.0 - u).ln()
+        }
+    }
+
+    #[test]
+    fn expensive_pops_refit_the_width_to_the_next_events() {
+        // The trace-replay shape: 1,000 failures over 45 days queued
+        // first fit the width to hours, then 160 timers a minute apart
+        // crowd the head bucket. Each popped event re-arms, so the
+        // population holds still and every rebuild from here on is
+        // cost-triggered.
+        let mut q = CalendarQueue::new();
+        q.track = true;
+        let mut delay = minute_delays();
+        let day = 86_400.0;
+        let mut seq = 0u64;
+        for i in 0..1000 {
+            q.schedule(seq, Time::from_secs(i as f64 * 45.0 * day / 1000.0), seq);
+            seq += 1;
+        }
+        for _ in 0..160 {
+            q.schedule(seq, Time::from_secs(delay()), seq);
+            seq += 1;
+        }
+        let setup = q.take_stats();
+        let width = q.width;
+        let mut replay = |q: &mut CalendarQueue<u64>, pops: usize| {
+            for _ in 0..pops {
+                let (t, _) = q.pop().expect("live event");
+                q.schedule(seq, Time::from_secs(t.as_secs() + delay()), seq);
+                seq += 1;
+            }
+            q.take_stats()
+        };
+        let first = replay(&mut q, 5_000);
+        assert!(
+            first.resizes >= 1,
+            "no cost-triggered rebuild (setup rebuilt {} times)",
+            setup.resizes
+        );
+        assert!(
+            q.width < width / 100.0,
+            "width {} s from {width} s",
+            q.width
+        );
+        let later = replay(&mut q, 5_000);
+        let entries = later.entries_sum as f64 / later.scans_count as f64;
+        assert!(entries < 6.0, "entries per pop {entries}");
+    }
+
+    #[test]
+    fn futile_re_estimates_back_off_geometrically() {
+        // An equal-time cluster: every pop compares the whole population
+        // and no width can split it. Patience doubles after each futile
+        // re-estimate, so 64 × len pops rebuild at most log2(64) + 1 times.
+        let mut q = CalendarQueue::new();
+        q.track = true;
+        let len = 256u64;
+        for seq in 0..len {
+            q.schedule(seq, Time::from_secs(5.0), seq);
+        }
+        q.take_stats();
+        for seq in len..len + 64 * len {
+            let (t, _) = q.pop().expect("live event");
+            q.schedule(seq, t, seq);
+        }
+        let stats = q.take_stats();
+        assert!(
+            (1..=7).contains(&stats.resizes),
+            "{} rebuilds",
+            stats.resizes
+        );
     }
 
     #[test]
