@@ -7,6 +7,8 @@
 //! * **Counter sanity** — conservation laws hold: queue inserts ≥ pops,
 //!   op-cache hits + misses = lookups, one sample span per Monte-Carlo
 //!   instance.
+//! * **Queue cost** — the calendar queue's entries compared per pop stay
+//!   low on a dense trace, an exact count at equal seed.
 //! * **Journal** — run-journal lines parse back through [`Json`], carry
 //!   the queue/cache counter groups, and a campaign journal lists the
 //!   same points in the same (name-sorted) order at any thread count.
@@ -170,6 +172,35 @@ fn counters_obey_conservation_laws() {
         snap.counter(Counter::TierAbsorbs) > 0,
         "a tiered run absorbs checkpoints into the hierarchy"
     );
+}
+
+/// Regression pin for the calendar queue's pop cost. On a dense synthetic
+/// trace, hundreds of jobs' timers fire minutes apart while the failure
+/// trace spans the whole window. A width fitted to the failures would put
+/// the timers in one bucket, and each pop would compare them all.
+#[test]
+fn calendar_pops_compare_few_entries_on_a_dense_trace() {
+    let _gate = telemetry_test();
+    let sc = Scenario::parse(
+        r#"{
+            "platform": {"preset": "cielo", "bandwidth_gbps": 40},
+            "workload": {"trace": "synthetic:jobs=5000,max_nodes=512,mean_walltime_hours=1,max_walltime_hours=4,mean_interarrival_secs=30"},
+            "strategy": "ordered-nb-daly-usage",
+            "span_days": 2,
+            "samples": 1,
+            "seed": 1
+        }"#,
+    )
+    .expect("scenario parses");
+    coopckpt_obs::set_enabled(true);
+    let scope = coopckpt_obs::new_scope();
+    {
+        let _guard = coopckpt_obs::enter(&scope);
+        run_scenario_with_cache(&sc, &OpPointCache::new()).expect("run");
+    }
+    coopckpt_obs::set_enabled(false);
+    let entries = scope.snapshot().hist(Hist::QueueEntryScans).mean();
+    assert!(entries <= 8.0, "queue.entry_scans_mean {entries}");
 }
 
 #[test]
