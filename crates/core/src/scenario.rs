@@ -504,6 +504,16 @@ impl Scenario {
         config.workload_source = trace_source;
         check_failure_classes(&self.failure_classes)?;
         config.failure_classes = self.failure_classes.clone();
+        if let FailureModel::Weibull(shape) = self.failures {
+            let mix = if self.failure_classes.is_empty() {
+                coopckpt_failure::system_only()
+            } else {
+                self.failure_classes.clone()
+            };
+            let p = &config.platform;
+            coopckpt_failure::FailureTrace::check_weibull(p.nodes, p.node_mtbf, shape, &mix)
+                .map_err(|e| ScenarioError::invalid("failures", e))?;
+        }
         config.tiers = match &self.tiers {
             TiersSpec::Geometric(k) => {
                 geometric_tiers(&config.platform, check_tier_depth(*k as u64)?)
@@ -1473,6 +1483,12 @@ mod tests {
             (r#"{"samples": 0}"#, "samples"),
             (r#"{"strategy": "magic"}"#, "strategy"),
             (r#"{"failures": "weibull:x"}"#, "failures"),
+            (r#"{"failures": "weibull:0.007"}"#, "failures"),
+            (r#"{"failures": "weibull:1e-300"}"#, "failures"),
+            (
+                r#"{"sweep": {"axis": "weibull-shape", "values": [1e-300]}}"#,
+                "failures",
+            ),
             (r#"{"interference": "chaotic"}"#, "interference"),
             (r#"{"platform": {"preset": "nope"}}"#, "platform"),
             (r#"{"sweep": {"axis": "altitude"}}"#, "sweep.axis"),
@@ -1501,9 +1517,14 @@ mod tests {
             ),
         ] {
             let sc = Scenario::parse(doc);
+            // A sweep compiles each point as it runs; a bad value fails
+            // there, before any point simulates.
             let err = match sc {
                 Err(e) => e,
-                Ok(s) => s.into_config().expect_err(doc),
+                Ok(s) => s
+                    .into_config()
+                    .and_then(|_| crate::experiments::run_scenario(&s))
+                    .expect_err(doc),
             };
             assert!(err.to_string().contains(needle), "{doc}: {err}");
         }

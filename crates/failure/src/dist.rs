@@ -191,13 +191,33 @@ impl Weibull {
 
     /// Creates a Weibull with shape `k` whose **mean** equals `mean`
     /// (`λ = mean / Γ(1 + 1/k)`), handy for MTBF-matched ablations.
+    ///
+    /// # Panics
+    ///
+    /// Panics where [`try_from_mean`](Self::try_from_mean) fails.
     pub fn from_mean(shape: f64, mean: f64) -> Self {
-        assert!(
-            mean.is_finite() && mean > 0.0,
-            "Weibull mean must be positive, got {mean}"
-        );
+        Self::try_from_mean(shape, mean).unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    /// [`from_mean`](Self::from_mean), or why no Weibull of that shape has
+    /// that mean: the shape or the mean is not positive and finite, or the
+    /// shape is so small (below about 0.007) that `Γ(1 + 1/k)` overflows
+    /// and the matching scale is 0.
+    pub fn try_from_mean(shape: f64, mean: f64) -> Result<Self, String> {
+        if !(mean.is_finite() && mean > 0.0) {
+            return Err(format!("Weibull mean must be positive, got {mean:?}"));
+        }
+        if !(shape.is_finite() && shape > 0.0) {
+            return Err(format!("Weibull shape must be positive, got {shape:?}"));
+        }
         let scale = mean / gamma(1.0 + 1.0 / shape);
-        Weibull::new(shape, scale)
+        if !(scale.is_finite() && scale > 0.0) {
+            return Err(format!(
+                "Weibull shape {shape:?} is too small: Γ(1 + 1/k) overflows \
+                 below about 0.007, so no scale gives the mean {mean:?}"
+            ));
+        }
+        Ok(Weibull::new(shape, scale))
     }
 
     /// Shape parameter `k`.
@@ -383,6 +403,18 @@ mod tests {
             assert!((w.mean() - 42.0).abs() < 1e-9, "k={k} mean {}", w.mean());
             assert!((sample_mean(&w, 11, 200_000) - 42.0).abs() < 1.0, "k={k}");
         }
+    }
+
+    #[test]
+    fn tiny_weibull_shapes_are_errors_not_zero_scales() {
+        // Γ(1 + 1/k) overflows in the Lanczos series from 1/k ≈ 141.
+        assert!(Weibull::try_from_mean(0.008, 3600.0).is_ok());
+        for k in [0.007, 1e-3, 1e-300, 5e-324] {
+            let e = Weibull::try_from_mean(k, 3600.0).expect_err("scale would be 0");
+            assert!(e.contains("too small"), "k={k}: {e}");
+        }
+        assert!(Weibull::try_from_mean(0.7, f64::INFINITY).is_err());
+        assert!(Weibull::try_from_mean(f64::NAN, 3600.0).is_err());
     }
 
     #[test]

@@ -153,13 +153,10 @@ impl FailureTrace {
         // it is shared out, so one up-front reservation covers the extends.
         let mut events: Vec<FailureEvent> =
             Vec::with_capacity(expected_events(system_mean, horizon));
-        for (idx, class) in classes.iter().enumerate() {
+        for (idx, mean) in class_means(nodes, node_mtbf, classes).enumerate() {
             // Split unconditionally so every class owns a stable stream.
             let mut class_rng = rng.split();
-            if class.share <= 0.0 {
-                continue;
-            }
-            let mean = system_mean / class.share;
+            let Some(mean) = mean else { continue };
             let trace = match weibull_shape {
                 Some(shape) => Self::generate_class(
                     &mut class_rng,
@@ -183,6 +180,20 @@ impl FailureTrace {
         // class index first — fully deterministic.
         events.sort_by(|a, b| a.at.as_secs().total_cmp(&b.at.as_secs()));
         FailureTrace { events }
+    }
+
+    /// Checks that every class of a mix has the mean-matched Weibull law
+    /// at `shape` that [`generate_mixed`](Self::generate_mixed) draws from:
+    /// the [`Weibull::try_from_mean`] error of the first class without one.
+    pub fn check_weibull(
+        nodes: usize,
+        node_mtbf: Duration,
+        shape: f64,
+        classes: &[FailureClass],
+    ) -> Result<(), String> {
+        class_means(nodes, node_mtbf, classes)
+            .flatten()
+            .try_for_each(|mean| Weibull::try_from_mean(shape, mean).map(drop))
     }
 
     /// Number of failures in the trace.
@@ -223,6 +234,20 @@ impl FailureTrace {
         }
         counts
     }
+}
+
+/// Mean inter-arrival time of each class's failures: the system MTBF
+/// `node_mtbf / nodes` over the class's share, or `None` for a zero share,
+/// which draws no events.
+fn class_means(
+    nodes: usize,
+    node_mtbf: Duration,
+    classes: &[FailureClass],
+) -> impl Iterator<Item = Option<f64>> + '_ {
+    let system_mean = node_mtbf.as_secs() / nodes as f64;
+    classes
+        .iter()
+        .map(move |class| (class.share > 0.0).then(|| system_mean / class.share))
 }
 
 /// Capacity estimate for a trace: the expected event count `horizon/mean`
