@@ -6,10 +6,10 @@
 //! unified [`Report`] type, so text, CSV and JSON output share one writer.
 
 use crate::args::Args;
-use coopckpt::experiments::run_scenario;
+use coopckpt::experiments::{run_scenario, theory_bound};
 use coopckpt::json::Json;
 use coopckpt::prelude::*;
-use coopckpt_theory::{lower_bound, ClassParams};
+use coopckpt_theory::ClassParams;
 use coopckpt_workload::{classes_for, APEX_SPECS};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -627,7 +627,7 @@ pub fn theory(args: &Args) -> CmdResult {
         .iter()
         .map(|c| ClassParams::from_app_class(c, &platform))
         .collect();
-    let lb = lower_bound(&platform, &params);
+    let lb = theory_bound(&platform, &params)?;
 
     let mut report = Report::new("theory", Some(sc.clone()));
     report.note(platform.to_string());
@@ -1073,6 +1073,21 @@ mod tests {
                 e.to_string().contains("sweep.values"),
                 "{axis} {values}: {e}"
             );
+        }
+    }
+
+    #[test]
+    fn theory_without_a_finite_bound_is_a_typed_error() {
+        // Each used to print `inf` waste and `NaN` stretch, or to panic
+        // bracketing λ; now each names the platform field to blame.
+        for (flag, value, field) in [
+            ("--bandwidth", "1e-300", "platform.bandwidth_gbps"),
+            ("--mtbf-years", "1e300", "platform.mtbf_years"),
+            ("--mtbf-years", "1e-300", "platform.mtbf_years"),
+        ] {
+            let e = theory(&args(&["theory", flag, value]))
+                .expect_err("no finite bound must be an error");
+            assert!(e.to_string().contains(field), "{flag} {value}: {e}");
         }
     }
 

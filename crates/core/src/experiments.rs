@@ -16,7 +16,7 @@ use crate::sim::{EnergySummary, FailureClass, SimConfig, SimResult};
 use crate::strategy::{CheckpointPolicy, Strategy};
 use coopckpt_model::{AppClass, Bandwidth, Platform};
 use coopckpt_stats::{Candlestick, Category, ProjectLedger, WasteLedger};
-use coopckpt_theory::{lower_bound, ClassParams};
+use coopckpt_theory::{lower_bound, try_lower_bound, BoundError, ClassParams, LowerBound};
 
 /// The two-class mix the `local_failure_share` axis installs at share
 /// `x`: node-local failures (severity 1 — the victim's node-local copy
@@ -90,7 +90,7 @@ fn sweep_section(
                 .iter()
                 .map(|c| ClassParams::from_app_class(c, &config.platform))
                 .collect();
-            let waste = lower_bound(&config.platform, &params).waste;
+            let waste = theory_bound(&config.platform, &params)?.waste;
             rows.push((
                 x,
                 "Theoretical Model".to_string(),
@@ -389,6 +389,23 @@ pub fn min_bandwidth_for_efficiency(
         }
     }
     Some(hi.exp())
+}
+
+/// Theorem 1 on `platform`, or a typed error naming the platform field
+/// that leaves it without a finite answer: the node MTBF, or the
+/// bandwidth when a class's checkpoint cost is to blame (see
+/// [`BoundError`]).
+pub fn theory_bound(
+    platform: &Platform,
+    params: &[ClassParams],
+) -> Result<LowerBound, ScenarioError> {
+    try_lower_bound(platform, params).map_err(|e| {
+        let field = match e {
+            BoundError::NodeMtbf(_) => "platform.mtbf_years",
+            BoundError::CheckpointCost { .. } => "platform.bandwidth_gbps",
+        };
+        ScenarioError::invalid(field, e.to_string())
+    })
 }
 
 /// The theoretical counterpart of [`min_bandwidth_for_efficiency`]: the

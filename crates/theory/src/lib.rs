@@ -24,9 +24,11 @@
 //! ```
 //!
 //! with the smallest `λ ≥ 0` making `F ≤ 1`, found numerically
-//! ([`solve_lambda`]). [`lower_bound`] assembles Theorem 1: the optimal
-//! periods, the multiplier, and the resulting waste — the "Theoretical
-//! Model" curve of Figures 1–3.
+//! ([`solve_lambda`]). [`try_lower_bound`] assembles Theorem 1: the
+//! optimal periods, the multiplier, and the resulting waste — the
+//! "Theoretical Model" curve of Figures 1–3. On a platform so extreme that
+//! a period overflows or no multiplier fits the checkpoints, it returns a
+//! [`BoundError`] naming the input to blame; [`lower_bound`] panics there.
 
 mod numeric;
 
@@ -160,50 +162,135 @@ pub fn platform_waste(platform: &Platform, classes: &[ClassParams], periods: &[D
         .sum()
 }
 
+/// Why Theorem 1 has no finite answer: a period overflows (or vanishes),
+/// or no multiplier below 1e30 fits the checkpoints on the file system.
+/// Either way one input is astronomically far from a real platform; the
+/// error blames the one further from 1 s in orders of magnitude.
+#[derive(Debug, Clone, PartialEq)]
+pub enum BoundError {
+    /// The node MTBF, in seconds.
+    NodeMtbf(f64),
+    /// One class's checkpoint cost, in seconds: the bandwidth is too low
+    /// for its checkpoint size.
+    CheckpointCost {
+        /// The class with the most extreme cost.
+        class: String,
+        /// Its checkpoint cost.
+        secs: f64,
+    },
+}
+
+impl std::fmt::Display for BoundError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            BoundError::NodeMtbf(secs) => write!(
+                f,
+                "no finite Theorem 1 bound with a node MTBF of {secs:.3e} s"
+            ),
+            BoundError::CheckpointCost { class, secs } => write!(
+                f,
+                "no finite Theorem 1 bound: class {class} takes {secs:.3e} s to checkpoint"
+            ),
+        }
+    }
+}
+
+impl std::error::Error for BoundError {}
+
+impl BoundError {
+    /// Blames the node MTBF or the most extreme checkpoint cost, whichever
+    /// lies more orders of magnitude from 1 s.
+    fn blame(platform: &Platform, classes: &[ClassParams]) -> BoundError {
+        let magnitude = |secs: f64| secs.ln().abs();
+        let mu = platform.node_mtbf.as_secs();
+        let worst = classes
+            .iter()
+            .max_by(|a, b| magnitude(a.ckpt.as_secs()).total_cmp(&magnitude(b.ckpt.as_secs())));
+        match worst {
+            Some(c) if magnitude(c.ckpt.as_secs()) > magnitude(mu) => BoundError::CheckpointCost {
+                class: c.name.clone(),
+                secs: c.ckpt.as_secs(),
+            },
+            _ => BoundError::NodeMtbf(mu),
+        }
+    }
+}
+
 /// Finds the smallest `λ ≥ 0` such that `F(λ) ≤ 1` (Section 4).
 ///
 /// `F` is continuous and strictly decreasing in λ, so when `F(0) > 1`
 /// the unique root of `F(λ) − 1` is bracketed by doubling and bisected.
-pub fn solve_lambda(platform: &Platform, classes: &[ClassParams]) -> f64 {
+/// Fails when no λ below 1e30 brackets it.
+pub fn solve_lambda(platform: &Platform, classes: &[ClassParams]) -> Result<f64, BoundError> {
     for c in classes {
         c.validate();
     }
     let f0 = io_fraction_for_lambda(platform, classes, 0.0);
     if f0 <= 1.0 {
-        return 0.0;
+        return Ok(0.0);
     }
     // Bracket: F(λ) ~ λ^(-1/2) for large λ, so doubling terminates quickly.
     let mut hi = 1e-12;
     while io_fraction_for_lambda(platform, classes, hi) > 1.0 {
         hi *= 2.0;
-        assert!(hi < 1e30, "failed to bracket λ (degenerate parameters?)");
+        if hi >= 1e30 {
+            return Err(BoundError::blame(platform, classes));
+        }
     }
-    bisect(
+    Ok(bisect(
         |lambda| io_fraction_for_lambda(platform, classes, lambda) - 1.0,
         hi / 2.0_f64.max(1e-12),
         hi,
         1e-14,
         200,
     )
-    .unwrap_or(hi)
+    .unwrap_or(hi))
 }
 
 /// Theorem 1: the optimal checkpoint periods under the I/O constraint and
-/// the resulting platform-waste lower bound.
-pub fn lower_bound(platform: &Platform, classes: &[ClassParams]) -> LowerBound {
-    let lambda = solve_lambda(platform, classes);
+/// the resulting platform-waste lower bound, or a [`BoundError`] when an
+/// extreme input leaves a period, the waste or the I/O fraction without a
+/// finite value.
+pub fn try_lower_bound(
+    platform: &Platform,
+    classes: &[ClassParams],
+) -> Result<LowerBound, BoundError> {
+    let finite = |secs: f64| secs.is_finite() && secs > 0.0;
+    if !classes.iter().all(|c| finite(c.ckpt.as_secs()))
+        || !unconstrained_periods(platform, classes)
+            .iter()
+            .all(|p| finite(p.as_secs()))
+    {
+        return Err(BoundError::blame(platform, classes));
+    }
+    let lambda = solve_lambda(platform, classes)?;
     let periods: Vec<Duration> = classes
         .iter()
         .map(|c| period_for_lambda(platform, c, lambda))
         .collect();
     let waste = platform_waste(platform, classes, &periods);
     let io_fraction = io_fraction_for_lambda(platform, classes, lambda);
-    LowerBound {
+    if !(periods.iter().all(|p| finite(p.as_secs()))
+        && waste.is_finite()
+        && io_fraction.is_finite())
+    {
+        return Err(BoundError::blame(platform, classes));
+    }
+    Ok(LowerBound {
         lambda,
         periods,
         waste,
         io_fraction,
-    }
+    })
+}
+
+/// [`try_lower_bound`] for platforms known to have a finite bound.
+///
+/// # Panics
+///
+/// Panics with the [`BoundError`] where [`try_lower_bound`] fails.
+pub fn lower_bound(platform: &Platform, classes: &[ClassParams]) -> LowerBound {
+    try_lower_bound(platform, classes).unwrap_or_else(|e| panic!("{e}"))
 }
 
 /// Young/Daly periods (Eq. 5) for every class — the unconstrained optimum,
