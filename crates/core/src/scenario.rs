@@ -505,13 +505,16 @@ impl Scenario {
         check_failure_classes(&self.failure_classes)?;
         config.failure_classes = self.failure_classes.clone();
         if let FailureModel::Weibull(shape) = self.failures {
+            // No classes means the paper's single system class, as in the
+            // engine.
+            let paper = coopckpt_failure::system_only();
             let mix = if self.failure_classes.is_empty() {
-                coopckpt_failure::system_only()
+                &paper
             } else {
-                self.failure_classes.clone()
+                &self.failure_classes
             };
             let p = &config.platform;
-            coopckpt_failure::FailureTrace::check_weibull(p.nodes, p.node_mtbf, shape, &mix)
+            coopckpt_failure::FailureTrace::check_weibull(p.nodes, p.node_mtbf, shape, mix)
                 .map_err(|e| ScenarioError::invalid("failures", e))?;
         }
         config.tiers = match &self.tiers {

@@ -255,12 +255,11 @@ pub fn try_lower_bound(
     platform: &Platform,
     classes: &[ClassParams],
 ) -> Result<LowerBound, BoundError> {
-    let finite = |secs: f64| secs.is_finite() && secs > 0.0;
-    if !classes.iter().all(|c| finite(c.ckpt.as_secs()))
-        || !unconstrained_periods(platform, classes)
-            .iter()
-            .all(|p| finite(p.as_secs()))
-    {
+    let finite_positive = |secs: f64| secs.is_finite() && secs > 0.0;
+    if !classes.iter().all(|c| {
+        finite_positive(c.ckpt.as_secs())
+            && finite_positive(period_for_lambda(platform, c, 0.0).as_secs())
+    }) {
         return Err(BoundError::blame(platform, classes));
     }
     let lambda = solve_lambda(platform, classes)?;
@@ -270,7 +269,7 @@ pub fn try_lower_bound(
         .collect();
     let waste = platform_waste(platform, classes, &periods);
     let io_fraction = io_fraction_for_lambda(platform, classes, lambda);
-    if !(periods.iter().all(|p| finite(p.as_secs()))
+    if !(periods.iter().all(|p| finite_positive(p.as_secs()))
         && waste.is_finite()
         && io_fraction.is_finite())
     {
