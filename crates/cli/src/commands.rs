@@ -1078,8 +1078,9 @@ mod tests {
 
     #[test]
     fn theory_without_a_finite_bound_is_a_typed_error() {
-        // Each used to print `inf` waste and `NaN` stretch, or to panic
-        // bracketing λ; now each names the platform field to blame.
+        // No finite bound exists on these platforms: a period overflows,
+        // or no multiplier fits the checkpoints. The error names the
+        // platform field to blame.
         for (flag, value, field) in [
             ("--bandwidth", "1e-300", "platform.bandwidth_gbps"),
             ("--mtbf-years", "1e300", "platform.mtbf_years"),

@@ -27,8 +27,8 @@
 //! take the 32 earliest live times, average their consecutive gaps, drop
 //! the gaps above twice that average, and use three times the mean of the
 //! rest. The next events then land about three to a bucket however far the
-//! population reaches, so a failure trace queued over 45 days no longer
-//! stretches the buckets the next minute's timers share. A trimmed mean of
+//! population reaches, so a failure trace queued over 45 days cannot
+//! stretch the buckets the next minute's timers share. A trimmed mean of
 //! 0 means an equal-time cluster, which no width can split; the width then
 //! falls back to twice the live time span per event.
 //!
