@@ -1113,6 +1113,49 @@ mod tests {
     }
 
     #[test]
+    fn trace_validation_errors_cite_the_file_line() {
+        // Comments and blank lines sit between the header and the bad
+        // record, so its file line differs from its record ordinal.
+        for (tag, body, expect) in [
+            (
+                "zero",
+                "project,submit_time,nodes,walltime\n# comment\na,0,1,3600\nb,10,0,3600\n",
+                ":4: job requests zero nodes",
+            ),
+            (
+                "huge",
+                "project,submit_time,nodes,walltime\na,0,1,3600\n\n\nb,10,99999,3600\n",
+                ":5: job requests 99999 nodes",
+            ),
+            (
+                "parse",
+                "project,submit_time,nodes,walltime\na,0,1,3600\nb,10,x,3600\n",
+                ":3: bad nodes 'x'",
+            ),
+        ] {
+            let path = std::env::temp_dir().join(format!(
+                "coopckpt_cli_bad_trace_{tag}_{}.csv",
+                std::process::id()
+            ));
+            std::fs::write(&path, body).unwrap();
+            let p = path.to_str().unwrap();
+            let e = run(&args(&[
+                "run",
+                "--workload",
+                p,
+                "--samples",
+                "1",
+                "--span-days",
+                "1",
+            ]))
+            .expect_err("an invalid record must fail validation");
+            let text = e.to_string();
+            assert!(text.contains(&format!("{p}{expect}")), "{tag}: {text}");
+            std::fs::remove_file(&path).ok();
+        }
+    }
+
+    #[test]
     fn exascale_platform_flag_resolves() {
         let sc = scenario_from(&args(&["run", "--platform", "exascale"])).unwrap();
         assert_eq!(sc.resolve_platform().unwrap().name, "Exascale");

@@ -145,12 +145,13 @@ enum JState {
     Commit,
     /// Finished.
     Done,
-    /// Killed by a failure (a restart entry supersedes this one).
-    Dead,
 }
 
 struct Job {
     spec: JobSpec,
+    /// Project id the job's node-seconds are booked to (0 when
+    /// per-project accounting is off); restarts inherit it.
+    project: usize,
     state: JState,
     /// When the current state was entered (start of the open interval).
     state_since: Time,
@@ -223,12 +224,58 @@ struct DrainState {
 }
 
 impl Job {
+    /// A job waiting for nodes: no progress, nothing in flight, no
+    /// retained checkpoint copies. Regular I/O splits into `chunks`
+    /// chunks when the job has any.
+    fn waiting(
+        spec: JobSpec,
+        project: usize,
+        period: Duration,
+        ckpt_nominal: Duration,
+        ckpt_visible: Duration,
+        chunks: u32,
+    ) -> Job {
+        let chunks_total = if spec.regular_io_bytes.as_bytes() > EPS_BYTES {
+            chunks
+        } else {
+            0
+        };
+        Job {
+            spec,
+            project,
+            state: JState::Waiting,
+            state_since: Time::ZERO,
+            alloc: None,
+            work_done: Duration::ZERO,
+            period,
+            ckpt_nominal,
+            ckpt_visible,
+            recovery_nominal: ckpt_nominal,
+            last_ckpt_content: Duration::ZERO,
+            pending_content: Duration::ZERO,
+            last_ckpt_wall: Time::ZERO,
+            ckpt_asap: false,
+            deferred_chunks: 0,
+            chunks_done: 0,
+            chunks_total,
+            request: None,
+            transfer: None,
+            ckpt_event: None,
+            milestone_event: None,
+            absorb: None,
+            drain: None,
+            retained: RetainedCopies::EMPTY,
+            restore_level: None,
+            restore_event: None,
+        }
+    }
+
     fn q(&self) -> usize {
         self.spec.q_nodes
     }
 
     fn is_live(&self) -> bool {
-        !matches!(self.state, JState::Done | JState::Dead)
+        self.state != JState::Done
     }
 
     /// The next work target: the next chunk boundary, or total work.
@@ -277,19 +324,23 @@ pub(super) struct Engine {
     pending_submit: Option<SubmittedJob>,
     /// Per-project accounting (trace-driven workloads only).
     projects: Option<ProjectLedger>,
-    /// Project id of each job, parallel to `jobs` (0 when per-project
-    /// accounting is off).
-    job_projects: Vec<usize>,
-    /// Jobs admitted but not yet Done/Dead, and the running maximum — the
-    /// bound proving a streamed trace never resides in memory at once.
+    /// Jobs admitted but not yet Done (a restart replaces the job it
+    /// restarts), and the running maximum.
     live_jobs: usize,
     peak_live_jobs: usize,
 
+    /// Job slab. A slot is reused once nothing can name its job: a killed
+    /// job's slot passes straight to its restart, and a Done job's slot
+    /// frees once its drain cascade (which outlives the job) has landed.
+    /// So the slab holds at most the live jobs plus the finished ones
+    /// still draining, never the whole stream.
     jobs: Vec<Job>,
+    /// Vacated slots of `jobs`, reused last-in first-out.
+    free_slots: Vec<JobIdx>,
     scheduler: Scheduler<JobIdx>,
-    /// Job of each allocation ever issued, indexed by [`AllocId::index`]
-    /// (ids are dense and monotone, so this is a slab, not a map); `None`
-    /// once the allocation is released.
+    /// Job of each live allocation, indexed by [`AllocId::slot`]; `None`
+    /// once the allocation is released. The pool reuses released slots,
+    /// so this is as long as the peak number of running jobs.
     alloc_jobs: Vec<Option<JobIdx>>,
     pfs: Pfs<TMeta>,
     queue: RequestQueue<RMeta>,
@@ -358,13 +409,6 @@ impl Engine {
         let (batch, stream) = match feed {
             Feed::Batch(specs) => (specs, None),
             Feed::Stream(stream) => (Vec::new(), Some(stream)),
-        };
-        // Slab capacity: batch jobs are all known up front; a stream's
-        // total is unknown and its point is exactly *not* to presize for it.
-        let cap = if stream.is_some() {
-            1024
-        } else {
-            batch.len() * 2
         };
 
         let pfs: Pfs<TMeta> = match config.interference {
@@ -452,12 +496,14 @@ impl Engine {
             stream,
             pending_submit: None,
             projects,
-            job_projects: Vec::with_capacity(cap),
             live_jobs: 0,
             peak_live_jobs: 0,
-            jobs: Vec::with_capacity(cap),
+            // Batch jobs all live from t = 0 and restarts reuse their
+            // slots; a stream's slab grows to its peak resident jobs.
+            jobs: Vec::with_capacity(batch.len()),
+            free_slots: Vec::new(),
             scheduler: Scheduler::new(platform.nodes),
-            alloc_jobs: Vec::with_capacity(cap),
+            alloc_jobs: Vec::new(),
             pfs,
             queue: RequestQueue::new(),
             storage,
@@ -532,6 +578,7 @@ impl Engine {
             coopckpt_obs::Hist::PeakLiveJobs,
             engine.peak_live_jobs as u64,
         );
+        coopckpt_obs::observe(coopckpt_obs::Hist::JobSlots, engine.jobs.len() as u64);
         let energy = engine.meter.take().map(|mut m| {
             m.finalize(engine.platform.nodes);
             m.summary()
@@ -646,52 +693,49 @@ impl Engine {
                 }
             }
         };
-        let chunks_total = if spec.regular_io_bytes.as_bytes() > EPS_BYTES {
-            self.regular_io_chunks
-        } else {
-            0
-        };
-        let idx = self.jobs.len();
         let priority = spec.priority;
         let q = spec.q_nodes;
-        self.jobs.push(Job {
+        let job = Job::waiting(
             spec,
-            state: JState::Waiting,
-            state_since: Time::ZERO,
-            alloc: None,
-            work_done: Duration::ZERO,
+            project,
             period,
-            ckpt_nominal: c_nominal,
-            ckpt_visible: c_visible,
-            recovery_nominal: c_nominal,
-            last_ckpt_content: Duration::ZERO,
-            pending_content: Duration::ZERO,
-            last_ckpt_wall: Time::ZERO,
-            ckpt_asap: false,
-            deferred_chunks: 0,
-            chunks_done: 0,
-            chunks_total,
-            request: None,
-            transfer: None,
-            ckpt_event: None,
-            milestone_event: None,
-            absorb: None,
-            drain: None,
-            retained: RetainedCopies::EMPTY,
-            restore_level: None,
-            restore_event: None,
-        });
-        self.job_projects.push(project);
-        self.job_went_live();
+            c_nominal,
+            c_visible,
+            self.regular_io_chunks,
+        );
+        let idx = match self.free_slots.pop() {
+            Some(idx) => {
+                self.jobs[idx] = job;
+                idx
+            }
+            None => {
+                self.jobs.push(job);
+                self.jobs.len() - 1
+            }
+        };
+        self.live_jobs += 1;
+        self.peak_live_jobs = self.peak_live_jobs.max(self.live_jobs);
         self.scheduler.submit(priority, q, idx);
     }
 
-    /// Bumps the live-job count (admission or restart) and its peak.
-    fn job_went_live(&mut self) {
-        self.live_jobs += 1;
-        if self.live_jobs > self.peak_live_jobs {
-            self.peak_live_jobs = self.live_jobs;
-        }
+    /// Returns a Done job's slot for reuse. Nothing may name it any more:
+    /// its nodes, events, token requests and transfers are gone, and so
+    /// is its drain cascade.
+    fn vacate(&mut self, idx: JobIdx) {
+        let job = &self.jobs[idx];
+        debug_assert!(
+            job.state == JState::Done
+                && job.alloc.is_none()
+                && job.request.is_none()
+                && job.transfer.is_none()
+                && job.ckpt_event.is_none()
+                && job.milestone_event.is_none()
+                && job.absorb.is_none()
+                && job.drain.is_none()
+                && job.restore_event.is_none(),
+            "vacating a slot that is still named"
+        );
+        self.free_slots.push(idx);
     }
 
     fn record(&mut self, ev: TraceEvent) {
@@ -723,7 +767,7 @@ impl Engine {
         let q = self.jobs[idx].q();
         self.ledger.record(cat, q, from, to);
         if let Some(projects) = &mut self.projects {
-            projects.record(self.job_projects[idx], cat, q, from, to);
+            projects.record(self.jobs[idx].project, cat, q, from, to);
         }
         if let Some(meter) = &mut self.meter {
             let id = self.jobs[idx].spec.id.0 as u64;
@@ -1185,19 +1229,23 @@ impl Engine {
 
     /// The final drain landed on the PFS: the buffered checkpoint becomes
     /// the durable restart point and the last tier's space is freed. Runs
-    /// even for jobs that finished meanwhile.
+    /// even for jobs that finished meanwhile, whose slot it then vacates.
     fn on_drain_complete(&mut self, sim: &mut Simulator<Event>, idx: JobIdx, now: Time) {
         let Some(drain) = self.jobs[idx].drain.take() else {
             return;
         };
         self.storage.drain_complete(drain.level, drain.volume);
+        if !self.jobs[idx].is_live() {
+            self.vacate(idx);
+            return;
+        }
         // A cascade can land *after* a newer checkpoint already committed
         // directly to the PFS (the direct path is the fallback exactly
         // while a drain is in flight, and queue ordering can complete the
         // newer commit first): a stale landing must not roll the durable
         // restart point — or the retained-copy set — back to older
         // content.
-        if self.jobs[idx].is_live() && drain.content >= self.jobs[idx].last_ckpt_content {
+        if drain.content >= self.jobs[idx].last_ckpt_content {
             self.jobs[idx].last_ckpt_content = drain.content;
             // The new durable checkpoint leaves retained copies at every
             // level the cascade visited — the restore sources for
@@ -1243,7 +1291,7 @@ impl Engine {
             sim.cancel(key);
         }
         if let Some(alloc) = self.jobs[idx].alloc.take() {
-            self.alloc_jobs[alloc.index()] = None;
+            self.alloc_jobs[alloc.slot()] = None;
             self.scheduler.release(alloc);
         }
         self.jobs_completed += 1;
@@ -1251,6 +1299,10 @@ impl Engine {
             at: now,
             job: self.jobs[idx].spec.id,
         });
+        // A drain still in flight vacates the slot when it lands.
+        if self.jobs[idx].drain.is_none() {
+            self.vacate(idx);
+        }
         self.schedule_fit_pass(sim, now);
     }
 
@@ -1466,10 +1518,10 @@ impl Engine {
             let idx = s.payload;
             debug_assert_eq!(self.jobs[idx].state, JState::Waiting);
             self.jobs[idx].alloc = Some(s.alloc);
-            if self.alloc_jobs.len() <= s.alloc.index() {
-                self.alloc_jobs.resize(s.alloc.index() + 1, None);
+            if self.alloc_jobs.len() <= s.alloc.slot() {
+                self.alloc_jobs.resize(s.alloc.slot() + 1, None);
             }
-            self.alloc_jobs[s.alloc.index()] = Some(idx);
+            self.alloc_jobs[s.alloc.slot()] = Some(idx);
             self.jobs[idx].state_since = now;
             let kind = if self.jobs[idx].spec.is_restart {
                 Kind::Recovery
@@ -1557,14 +1609,23 @@ impl Engine {
         self.pfs_wake = None;
         self.pfs.advance(now);
         for done in self.pfs.take_completed() {
+            // Each completion goes to the job whose transfer (or drain
+            // transfer) it is. A killed job's transfer may have completed
+            // inside the `pfs.cancel` that tore it down; its slot now
+            // holds the restart, which does not await that id.
             let TMeta { job: idx, kind } = done.meta;
             if kind == Kind::Drain {
                 // Drains free buffer space even for completed jobs.
-                self.on_drain_complete(sim, idx, now);
+                if self.jobs[idx]
+                    .drain
+                    .is_some_and(|d| d.transfer == Some(done.id))
+                {
+                    self.on_drain_complete(sim, idx, now);
+                }
                 continue;
             }
-            if !self.jobs[idx].is_live() {
-                continue; // killed in the same instant
+            if self.jobs[idx].transfer != Some(done.id) {
+                continue;
             }
             match kind {
                 Kind::Ckpt => self.finish_commit(sim, idx, now),
@@ -1644,7 +1705,7 @@ impl Engine {
             });
             return; // idle node
         };
-        let idx = self.alloc_jobs[alloc.index()].expect("every allocation maps to a job");
+        let idx = self.alloc_jobs[alloc.slot()].expect("every allocation maps to a job");
         self.failures_hitting_jobs += 1;
         // Include the open computing interval in the lost-work figure (the
         // ledger reclassification in `kill_and_restart` does the same after
@@ -1697,7 +1758,7 @@ impl Engine {
                 };
                 self.mark(idx, now, cat);
             }
-            JState::Waiting | JState::Done | JState::Dead => {
+            JState::Waiting | JState::Done => {
                 unreachable!("failure can only strike an allocated, live job")
             }
         }
@@ -1710,7 +1771,7 @@ impl Engine {
                 .reclassify(Category::Work, Category::LostWork, node_seconds, now);
             if let Some(projects) = &mut self.projects {
                 projects.reclassify(
-                    self.job_projects[idx],
+                    self.jobs[idx].project,
                     Category::Work,
                     Category::LostWork,
                     node_seconds,
@@ -1763,11 +1824,9 @@ impl Engine {
             sim.cancel(key);
         }
         if let Some(alloc) = self.jobs[idx].alloc.take() {
-            self.alloc_jobs[alloc.index()] = None;
+            self.alloc_jobs[alloc.slot()] = None;
             self.scheduler.release(alloc);
         }
-        self.jobs[idx].state = JState::Dead;
-        self.live_jobs -= 1;
 
         // The strike's severity wipes the shallow retained copies; the
         // restart recovers from the shallowest survivor (token-free, at
@@ -1776,7 +1835,6 @@ impl Engine {
         let severity = self.severity_of(class);
         self.jobs[idx].retained.invalidate_below(severity);
         let restore_level = self.jobs[idx].retained.restore_source(severity);
-        let retained = self.jobs[idx].retained;
 
         // Resubmit with the remaining work from the last commit *start*
         // (paper: "a new wall-time equal to the fraction that remained when
@@ -1785,66 +1843,40 @@ impl Engine {
         let new_id = JobId(self.next_job_id);
         self.next_job_id += 1;
         let priority = self.scheduler.head_priority();
-        let restart_spec = self.jobs[idx].spec.restart(new_id, remaining, priority);
+        let old = &self.jobs[idx];
+        let restart_spec = old.spec.restart(new_id, remaining, priority);
+        let q = restart_spec.q_nodes;
         self.restarts += 1;
 
-        // Admit the restart (inherits the class-derived checkpoint params).
-        let ridx = self.jobs.len();
-        let (period, ckpt_nominal, ckpt_visible, recovery_nominal) = {
-            let old = &self.jobs[idx];
-            (
-                old.period,
-                old.ckpt_nominal,
-                old.ckpt_visible,
-                old.recovery_nominal,
-            )
-        };
-        let chunks_total = if restart_spec.regular_io_bytes.as_bytes() > EPS_BYTES {
-            self.regular_io_chunks
-        } else {
-            0
-        };
-        let q = restart_spec.q_nodes;
-        self.jobs.push(Job {
-            spec: restart_spec,
-            state: JState::Waiting,
-            state_since: now,
-            alloc: None,
-            work_done: Duration::ZERO,
-            period,
-            ckpt_nominal,
-            ckpt_visible,
-            recovery_nominal,
-            last_ckpt_content: Duration::ZERO,
-            pending_content: Duration::ZERO,
-            last_ckpt_wall: now,
-            ckpt_asap: false,
-            deferred_chunks: 0,
-            chunks_done: 0,
-            chunks_total,
-            request: None,
-            transfer: None,
-            ckpt_event: None,
-            milestone_event: None,
-            absorb: None,
-            drain: None,
-            retained,
-            restore_level,
-            restore_event: None,
-        });
-        // The restart charges to the killed job's project.
-        self.job_projects.push(self.job_projects[idx]);
-        self.job_went_live();
-        self.scheduler.submit(priority, q, ridx);
+        // The restart takes over the killed job's slot, its project and
+        // its class-derived checkpoint parameters. The teardown above left
+        // nothing that names the killed job: a transfer that completed
+        // inside `pfs.cancel` is told apart by its id in `on_pfs_wake`.
+        let mut restart = Job::waiting(
+            restart_spec,
+            old.project,
+            old.period,
+            old.ckpt_nominal,
+            old.ckpt_visible,
+            self.regular_io_chunks,
+        );
+        restart.retained = old.retained;
+        restart.restore_level = restore_level;
+        self.jobs[idx] = restart;
+        self.scheduler.submit(priority, q, idx);
         self.schedule_fit_pass(sim, now);
     }
 
     /// Closes every open interval at the end of the simulated horizon.
+    /// Jobs close in `JobId` order, the order they were admitted, so
+    /// every ledger, project and meter sum adds in one order whatever
+    /// slots the jobs hold.
     fn finalize(&mut self, end: Time) {
-        for idx in 0..self.jobs.len() {
-            if !self.jobs[idx].is_live() || self.jobs[idx].alloc.is_none() {
-                continue;
-            }
+        let mut running: Vec<JobIdx> = (0..self.jobs.len())
+            .filter(|&idx| self.jobs[idx].is_live() && self.jobs[idx].alloc.is_some())
+            .collect();
+        running.sort_unstable_by_key(|&idx| self.jobs[idx].spec.id);
+        for idx in running {
             match self.jobs[idx].state {
                 JState::Computing | JState::NbWait => self.mark(idx, end, Category::Work),
                 JState::WaitIo(_) => self.mark(idx, end, Category::IoWait),
@@ -1858,7 +1890,7 @@ impl Engine {
                     };
                     self.mark_transfer(idx, end, kind, volume);
                 }
-                JState::Waiting | JState::Done | JState::Dead => {}
+                JState::Waiting | JState::Done => {}
             }
         }
     }

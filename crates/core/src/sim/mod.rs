@@ -374,10 +374,14 @@ pub struct SimResult {
     pub tier_restores: u64,
     /// DES events processed.
     pub events: u64,
-    /// Peak number of jobs simultaneously admitted-but-unfinished. For a
-    /// batch workload this is simply the job-list length (everything is
-    /// admitted at `t = 0`); for a trace stream it is the bound proving
-    /// the log was never resident at once.
+    /// Peak number of jobs simultaneously admitted-but-unfinished (a
+    /// restart replaces the job it restarts). For a batch workload this is
+    /// simply the job-list length (everything is admitted at `t = 0`); for
+    /// a trace stream it bounds what the engine holds: a finished job's
+    /// slot is reused, so the job slab never outgrows this peak plus the
+    /// finished jobs still draining a checkpoint through storage tiers
+    /// (none without tiers). Telemetry reports the slab's length as
+    /// `job_slots`.
     pub peak_live_jobs: u64,
     /// Per-project accounting, when the workload was a trace stream
     /// ([`SimConfig::workload_source`]).

@@ -92,6 +92,7 @@ pub fn journal_record(
         ("cache_hit", Json::Bool(cache_hit)),
         ("worker", Json::Num(worker as f64)),
         ("peak_live_jobs", n(snap.hist(Hist::PeakLiveJobs).max)),
+        ("job_slots", n(snap.hist(Hist::JobSlots).max)),
         (
             "queue",
             Json::obj([

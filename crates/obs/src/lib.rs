@@ -159,10 +159,13 @@ pub enum Hist {
     /// Calendar entries compared per `next_slot` query: the lengths of
     /// the buckets it walked.
     QueueEntryScans,
+    /// The engine's job-slab length at the end of each simulated
+    /// instance: its high-water mark of resident job slots.
+    JobSlots,
 }
 
 /// Number of [`Hist`] variants (array sizing).
-pub const NUM_HISTS: usize = 5;
+pub const NUM_HISTS: usize = 6;
 
 impl Hist {
     /// Every histogram, in declaration order.
@@ -172,6 +175,7 @@ impl Hist {
         Hist::PoolScanWords,
         Hist::PeakLiveJobs,
         Hist::QueueEntryScans,
+        Hist::JobSlots,
     ];
 
     /// Stable snake_case name used in reports and journals.
@@ -182,6 +186,7 @@ impl Hist {
             Hist::PoolScanWords => "pool_scan_words",
             Hist::PeakLiveJobs => "peak_live_jobs",
             Hist::QueueEntryScans => "queue_entry_scans",
+            Hist::JobSlots => "job_slots",
         }
     }
 }

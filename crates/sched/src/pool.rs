@@ -1,19 +1,39 @@
 //! The node pool: who occupies which node.
 
-/// Identifier of one allocation (a job's set of nodes). Never reused.
+/// Identifier of one allocation (a job's set of nodes).
 ///
-/// Ids are dense and monotone (0, 1, 2, …), so they double as direct
-/// indices — see [`index`](AllocId::index) — letting the pool and the
-/// simulation engine keep per-allocation state in plain vectors instead of
-/// hash maps.
+/// An id pairs a sequence number with a slot. The sequence number counts
+/// successful allocations from 0 and is never reused. The slot is the
+/// allocation's index in the pool's allocation slab, and a released
+/// allocation's slot is reused by a later one, so the slab and any
+/// per-allocation vector indexed by [`slot`](AllocId::slot) stay as long
+/// as the peak number of live allocations, not the number ever issued. A
+/// released id stays dead after its slot is reused: its sequence number no
+/// longer matches the slot's. The pair packs into 8 bytes because the pool
+/// stores one id per allocated node.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub struct AllocId(u64);
+pub struct AllocId {
+    seq: u32,
+    slot: u32,
+}
+
+const _: () = assert!(std::mem::size_of::<AllocId>() == 8);
 
 impl AllocId {
-    /// The allocation's dense slab index (its position in issue order).
-    pub fn index(self) -> usize {
-        self.0 as usize
+    /// The allocation's slot in the pool's slab, shared with earlier,
+    /// released allocations.
+    pub fn slot(self) -> usize {
+        self.slot as usize
     }
+}
+
+/// One entry of the allocation slab: the `(word, mask)` pairs of the
+/// allocation whose sequence number is `seq`, in word order; empty once
+/// it is released (an allocation takes at least one node).
+#[derive(Debug, Clone)]
+struct Slot {
+    seq: u32,
+    words: Vec<(usize, u64)>,
 }
 
 /// Tracks the occupancy of the platform's nodes.
@@ -43,13 +63,12 @@ pub struct NodePool {
     /// Lowest word of `free_bits` that may contain a set bit (scan hint;
     /// every word below it is known-empty).
     first_maybe_free: usize,
-    /// The `(word, mask)` pairs of each allocation ever issued, in word
-    /// order, indexed by [`AllocId::index`]; `None` once released. Ids are
-    /// dense, so this is a slab, not a map.
-    allocs: Vec<Option<Vec<(usize, u64)>>>,
-    /// Number of live (unreleased) allocations.
-    live: usize,
-    next_id: u64,
+    /// Allocation slab, indexed by [`AllocId::slot`]. Released slots
+    /// keep their word vector's capacity for the next occupant.
+    allocs: Vec<Slot>,
+    /// Released slots, reused last-in first-out.
+    free_slots: Vec<u32>,
+    next_seq: u32,
 }
 
 impl NodePool {
@@ -66,13 +85,13 @@ impl NodePool {
             free_bits[words - 1] = (1u64 << (nodes % 64)) - 1;
         }
         NodePool {
-            owner: vec![AllocId(0); nodes],
+            owner: vec![AllocId { seq: 0, slot: 0 }; nodes],
             free_bits,
             free_count: nodes,
             first_maybe_free: 0,
             allocs: Vec::new(),
-            live: 0,
-            next_id: 0,
+            free_slots: Vec::new(),
+            next_seq: 0,
         }
     }
 
@@ -98,15 +117,32 @@ impl NodePool {
 
     /// Allocates `q` nodes (the `q` lowest-indexed free ones), or returns
     /// `None` if fewer are free.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `q` is zero, or once the 32-bit sequence numbers run
+    /// out (about 4.3 billion allocations; the engine's event budget ends
+    /// an instance long before).
     pub fn allocate(&mut self, q: usize) -> Option<AllocId> {
         assert!(q > 0, "allocation must request at least one node");
         if q > self.free_count {
             return None;
         }
-        let id = AllocId(self.next_id);
-        self.next_id += 1;
+        let seq = self.next_seq;
+        self.next_seq = seq
+            .checked_add(1)
+            .expect("allocation sequence numbers exhausted");
+        let slot = self.free_slots.pop().unwrap_or_else(|| {
+            self.allocs.push(Slot {
+                seq,
+                words: Vec::new(),
+            });
+            (self.allocs.len() - 1) as u32
+        });
+        let id = AllocId { seq, slot };
+        let mut words = std::mem::take(&mut self.allocs[id.slot()].words);
         // Exact when the free nodes are contiguous; a hint otherwise.
-        let mut words = Vec::with_capacity(q.div_ceil(64) + 1);
+        words.reserve(q.div_ceil(64) + 1);
         let mut need = q;
         let start_w = self.first_maybe_free;
         let mut w = start_w;
@@ -135,9 +171,7 @@ impl NodePool {
         self.first_maybe_free = w;
         coopckpt_obs::observe(coopckpt_obs::Hist::PoolScanWords, (w - start_w + 1) as u64);
         self.free_count -= q;
-        debug_assert_eq!(self.allocs.len(), id.index());
-        self.allocs.push(Some(words));
-        self.live += 1;
+        self.allocs[id.slot()] = Slot { seq, words };
         Some(id)
     }
 
@@ -154,11 +188,18 @@ impl NodePool {
         }
     }
 
-    /// Releases an allocation, freeing its nodes. Returns the number of
-    /// nodes freed, or `None` if the id is unknown (already released).
+    /// The `(word, mask)` pairs of a live allocation.
+    fn words_of(&self, id: AllocId) -> Option<&[(usize, u64)]> {
+        let slot = self.allocs.get(id.slot())?;
+        (slot.seq == id.seq && !slot.words.is_empty()).then_some(&slot.words[..])
+    }
+
+    /// Releases an allocation, freeing its nodes and its slot. Returns the
+    /// number of nodes freed, or `None` if the id is not live (already
+    /// released, even when its slot now holds a newer allocation).
     pub fn release(&mut self, id: AllocId) -> Option<usize> {
-        let words = self.allocs.get_mut(id.index())?.take()?;
-        self.live -= 1;
+        self.words_of(id)?;
+        let mut words = std::mem::take(&mut self.allocs[id.slot()].words);
         let mut freed = 0;
         for &(w, mask) in &words {
             debug_assert_eq!(self.free_bits[w] & mask, 0, "released a node that was free");
@@ -168,6 +209,9 @@ impl NodePool {
         // Words are stored in ascending order, and never empty.
         self.first_maybe_free = self.first_maybe_free.min(words[0].0);
         self.free_count += freed;
+        words.clear();
+        self.allocs[id.slot()].words = words;
+        self.free_slots.push(id.slot);
         Some(freed)
     }
 
@@ -183,7 +227,7 @@ impl NodePool {
 
     /// The nodes of a live allocation, in ascending order.
     pub fn nodes_of(&self, id: AllocId) -> Option<Vec<usize>> {
-        let words = self.allocs.get(id.index())?.as_ref()?;
+        let words = self.words_of(id)?;
         let mut nodes = Vec::new();
         for &(w, mut mask) in words {
             while mask != 0 {
@@ -196,7 +240,7 @@ impl NodePool {
 
     /// Number of live allocations.
     pub fn live_allocations(&self) -> usize {
-        self.live
+        self.allocs.len() - self.free_slots.len()
     }
 }
 
@@ -275,6 +319,21 @@ mod tests {
     }
 
     #[test]
+    fn released_ids_stay_dead_when_their_slot_is_reused() {
+        let mut pool = NodePool::new(10);
+        let a = pool.allocate(4).unwrap();
+        pool.release(a);
+        let b = pool.allocate(2).unwrap();
+        assert_eq!((a.seq, b.seq), (0, 1));
+        assert_eq!(b.slot(), a.slot(), "the released slot is reused");
+        assert!(pool.release(a).is_none());
+        assert!(pool.nodes_of(a).is_none());
+        assert_eq!(pool.nodes_of(b).unwrap(), &[0, 1]);
+        assert_eq!(pool.occupant(0), Some(b));
+        assert_eq!(pool.release(b), Some(2));
+    }
+
+    #[test]
     fn live_allocation_count() {
         let mut pool = NodePool::new(10);
         let a = pool.allocate(1).unwrap();
@@ -307,8 +366,8 @@ mod proptests {
     /// every node has at most one owner, and ids count successful
     /// allocations from 0. The differential test holds [`NodePool`] to it.
     struct Model {
-        owner: Vec<Option<usize>>,
-        next_id: usize,
+        owner: Vec<Option<u32>>,
+        next_id: u32,
     }
 
     impl Model {
@@ -323,7 +382,7 @@ mod proptests {
             self.owner.iter().filter(|o| o.is_none()).count()
         }
 
-        fn allocate(&mut self, q: usize) -> Option<usize> {
+        fn allocate(&mut self, q: usize) -> Option<u32> {
             let free: Vec<usize> = (0..self.owner.len())
                 .filter(|&n| self.owner[n].is_none())
                 .take(q)
@@ -339,7 +398,7 @@ mod proptests {
             Some(id)
         }
 
-        fn release(&mut self, id: usize) -> usize {
+        fn release(&mut self, id: u32) -> usize {
             let mut freed = 0;
             for o in self.owner.iter_mut().filter(|o| **o == Some(id)) {
                 *o = None;
@@ -348,7 +407,7 @@ mod proptests {
             freed
         }
 
-        fn nodes_of(&self, id: usize) -> Vec<usize> {
+        fn nodes_of(&self, id: u32) -> Vec<usize> {
             (0..self.owner.len())
                 .filter(|&n| self.owner[n] == Some(id))
                 .collect()
@@ -365,7 +424,10 @@ mod proptests {
         /// one node to the whole pool, plus requests beyond the free
         /// count) and releases in random order. After every step each live
         /// allocation holds exactly the model's nodes, every node has the
-        /// model's occupant, and the free counts agree.
+        /// model's occupant, and the free counts agree. Every released id
+        /// stays dead once later allocations reuse its slot, and the slab
+        /// never holds more slots than the peak number of live
+        /// allocations.
         #[test]
         fn conservation_under_random_ops(
             size in 0usize..SIZES.len(),
@@ -375,12 +437,15 @@ mod proptests {
             let mut pool = NodePool::new(nodes);
             let mut model = Model::new(nodes);
             let mut live: Vec<AllocId> = Vec::new();
+            let mut released: Vec<AllocId> = Vec::new();
+            let mut peak_live = 0;
             for (kind, draw, shift) in ops {
                 if kind < 2 && !live.is_empty() {
                     let id = live.swap_remove(draw % live.len());
-                    let freed = model.release(id.index());
+                    let freed = model.release(id.seq);
                     prop_assert_eq!(pool.release(id), Some(freed));
                     prop_assert!(pool.release(id).is_none(), "double release is a no-op");
+                    released.push(id);
                 } else {
                     let q = match kind {
                         2 => model.free_count() + 1 + draw % 3,
@@ -389,17 +454,23 @@ mod proptests {
                         _ => 1 + draw % (nodes >> shift).max(1),
                     };
                     let id = pool.allocate(q);
-                    prop_assert_eq!(id.map(AllocId::index), model.allocate(q));
+                    prop_assert_eq!(id.map(|id| id.seq), model.allocate(q));
                     live.extend(id);
                 }
+                peak_live = peak_live.max(live.len());
                 prop_assert_eq!(pool.free_count(), model.free_count());
                 prop_assert_eq!(pool.free_count() + pool.allocated_count(), nodes);
                 prop_assert_eq!(pool.live_allocations(), live.len());
                 for &id in &live {
-                    prop_assert_eq!(pool.nodes_of(id), Some(model.nodes_of(id.index())));
+                    prop_assert_eq!(pool.nodes_of(id), Some(model.nodes_of(id.seq)));
                 }
+                for &id in &released {
+                    prop_assert!(pool.release(id).is_none(), "released id {:?} came back", id);
+                    prop_assert!(pool.nodes_of(id).is_none(), "released id {:?} owns nodes", id);
+                }
+                prop_assert!(pool.allocs.len() <= peak_live, "slab outgrew the peak live count");
                 for n in 0..nodes {
-                    prop_assert_eq!(pool.occupant(n).map(AllocId::index), model.owner[n]);
+                    prop_assert_eq!(pool.occupant(n).map(|id| id.seq), model.owner[n]);
                 }
             }
         }

@@ -16,7 +16,7 @@
 //!   JSON-lines ingestion (`project, submit_time, nodes, walltime[,
 //!   ckpt_bytes]`), a seeded `synthetic:...` generator, and the
 //!   [`JobSource`] seam that feeds the engine one submission at a time so
-//!   a 300k-job trace runs in bounded memory.
+//!   a 300k-job trace runs in memory bounded by its resident jobs.
 //!
 //! ```
 //! use coopckpt_workload::{apex, generator::WorkloadSpec, platforms};

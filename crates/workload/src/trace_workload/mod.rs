@@ -5,7 +5,13 @@
 //! real one (the Frontier CY2024 analysis of Graziani, Lusch & Messer
 //! covers 331,640 production jobs) or a seeded synthetic one — feeding the
 //! engine lazily through the [`JobSource`] trait so a 300k-job trace runs
-//! in bounded memory.
+//! in memory bounded by its resident jobs, not its length. Three things
+//! make up that bound: the source holds one line, the stream one record
+//! of lookahead, and the engine reuses a finished job's slot (and the node
+//! pool a released allocation's), so its job slab holds the live jobs
+//! plus any finished ones still draining a checkpoint. What grows with
+//! the log is only reported output: one row per distinct project and,
+//! with a power model, the energy meter's per-job joules.
 //!
 //! The pieces:
 //!
@@ -54,6 +60,9 @@ pub struct TraceJob {
     /// Checkpoint volume; `None` defaults to the job's full memory
     /// footprint on the target platform.
     pub ckpt_bytes: Option<Bytes>,
+    /// Where the record came from, for error messages: its 1-based line
+    /// in a job-log file, or its 1-based ordinal in a generated source.
+    pub line: usize,
 }
 
 /// A trace problem: what went wrong, where.
@@ -92,8 +101,9 @@ impl std::error::Error for TraceError {}
 /// A pull-based stream of job records in nondecreasing submit order.
 ///
 /// Implementations must yield records one at a time without materializing
-/// the remainder — the engine draws submissions as simulated time advances,
-/// which is what keeps a 300k-job trace in bounded memory.
+/// the remainder. The engine draws submissions as simulated time advances
+/// and reuses finished jobs' slots, so a 300k-job trace holds only its
+/// resident jobs in memory (see the module docs for the full bound).
 pub trait JobSource {
     /// The next record, `None` when the source is exhausted. After an
     /// error or `None` the source need not yield anything further.
@@ -251,7 +261,7 @@ impl TraceClasses {
         let mut last_submit = Time::ZERO;
         while let Some(record) = source.next_job() {
             let job = record?;
-            let line = jobs + 1;
+            let line = job.line;
             if !(job.submit.is_finite() && job.submit >= Time::ZERO) {
                 return Err(TraceError::new(
                     context,
@@ -538,6 +548,7 @@ mod tests {
             nodes,
             walltime: Duration::from_secs(wall),
             ckpt_bytes: None,
+            line: 1,
         }
     }
 
@@ -585,13 +596,21 @@ mod tests {
 
     #[test]
     fn scan_rejects_out_of_order_and_oversized() {
+        // Errors cite each record's source line (here as if comments and
+        // blank lines sat between records), not its ordinal.
         let p = cielo();
-        let mut src = MaterializedSource::new(vec![job("x", 10.0, 1, 1.0), job("x", 5.0, 1, 1.0)]);
+        let at = |line, job| TraceJob { line, ..job };
+        let mut src = MaterializedSource::new(vec![
+            at(3, job("x", 10.0, 1, 1.0)),
+            at(7, job("x", 5.0, 1, 1.0)),
+        ]);
         let err = TraceClasses::scan(&mut src, &p, Time::from_secs(1e6), "test").unwrap_err();
         assert!(err.message.contains("nondecreasing"), "{err}");
-        let mut src = MaterializedSource::new(vec![job("x", 0.0, p.nodes + 1, 1.0)]);
+        assert_eq!(err.line, 7);
+        let mut src = MaterializedSource::new(vec![at(4, job("x", 0.0, p.nodes + 1, 1.0))]);
         let err = TraceClasses::scan(&mut src, &p, Time::from_secs(1e6), "test").unwrap_err();
         assert!(err.message.contains("only"), "{err}");
+        assert_eq!(err.line, 4);
     }
 
     #[test]

@@ -216,6 +216,7 @@ fn parse_csv_record(
         nodes,
         walltime,
         ckpt_bytes,
+        line: line_no,
     })
 }
 
@@ -351,6 +352,7 @@ fn parse_json_record(path: &str, line_no: usize, line: &str) -> Result<TraceJob,
             walltime.ok_or_else(|| err("missing 'walltime'".to_string()))?,
         ),
         ckpt_bytes: ckpt.map(Bytes::new),
+        line: line_no,
     })
 }
 
@@ -391,6 +393,7 @@ mod tests {
         assert_eq!(jobs[0].ckpt_bytes, Some(Bytes::new(1e12)));
         assert_eq!(jobs[1].ckpt_bytes, None);
         assert_eq!(jobs[1].submit, Time::from_secs(100.0));
+        assert_eq!((jobs[0].line, jobs[1].line), (3, 5), "file lines");
         std::fs::remove_file(&path).ok();
     }
 

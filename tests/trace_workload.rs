@@ -10,11 +10,13 @@
 //! * **Report stability** — a trace scenario's rendered report is
 //!   identical at any `--threads` value.
 //! * **Bounded residency** — a 100k-job trace streams through the engine
-//!   with peak resident jobs orders of magnitude below the trace length.
+//!   with peak resident jobs orders of magnitude below the trace length,
+//!   and the engine's job slab holds no more slots than that peak.
 
 use coopckpt::experiments::run_scenario;
 use coopckpt::json::Json;
 use coopckpt::prelude::*;
+use coopckpt_obs::Hist;
 use coopckpt_stats::Category;
 use coopckpt_workload::trace_workload::{JobSource, MaterializedSource, TraceJob, TraceSpec};
 
@@ -213,12 +215,27 @@ fn hundred_thousand_jobs_stream_with_bounded_residency() {
     let config = trace_scenario(spec, 14.0)
         .into_config()
         .expect("100k-job trace compiles");
-    let result = run_simulation(&config, 1);
+    // Telemetry only records; it never changes the result.
+    coopckpt_obs::set_enabled(true);
+    let scope = coopckpt_obs::new_scope();
+    let result = {
+        let _guard = coopckpt_obs::enter(&scope);
+        run_simulation(&config, 1)
+    };
+    coopckpt_obs::set_enabled(false);
     assert_eq!(result.jobs_completed, 100_000);
     assert!(
         result.peak_live_jobs >= 1 && result.peak_live_jobs * 50 < 100_000,
         "peak resident jobs {} is not \u{226a} the 100k-job trace length",
         result.peak_live_jobs
+    );
+    // The engine reuses a job's slot once nothing names it. Without
+    // storage tiers no finished job is still draining a checkpoint, so
+    // the slab's high-water mark is the peak live count, slack 0.
+    let job_slots = scope.snapshot().hist(Hist::JobSlots).max;
+    assert_eq!(
+        job_slots, result.peak_live_jobs,
+        "the job slab grew past the peak resident jobs"
     );
     let ledger = result.projects.expect("trace runs carry projects");
     assert_eq!(ledger.len(), 16, "all 16 projects appear in the ledger");
