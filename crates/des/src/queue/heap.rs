@@ -6,8 +6,9 @@
 //! the independently-trusted reference, so its structure — including the
 //! hash-map cancellation index the calendar queue exists to eliminate —
 //! matches the pre-calendar implementation. Construct it through
-//! [`EventQueue::heap_oracle`]; the `des/event_queue_cancel_heavy_heap`
-//! benchmark records its cost so `BENCH_des.json` shows the speedup.
+//! [`EventQueue::heap_oracle`]. It is also the yardstick of the
+//! workspace's same-run performance gates (`tests/perf_gates.rs`): the
+//! calendar queue is timed against it on the same schedules.
 //!
 //! Cancellation tombstones whose timestamps lie far in the future would
 //! sit in the heap indefinitely (the engine's dominant pattern:
