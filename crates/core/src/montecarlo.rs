@@ -20,8 +20,10 @@ use crate::scenario::Scenario;
 use crate::sim::{run_simulation, SimConfig, SimResult};
 use coopckpt_stats::Samples;
 use parking_lot::Mutex;
+use std::any::Any;
 use std::cell::RefCell;
 use std::collections::HashMap;
+use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
 
@@ -113,7 +115,8 @@ pub fn sim_pool(workers: usize) -> Arc<SimPool> {
 /// The worker loop behind campaign suites and sweeps: calls
 /// `task(i, worker)` once for every point `i in 0..n` and returns the
 /// results in point order, or the first error (points not yet claimed
-/// are then skipped).
+/// are then skipped). A panicking task stops the claiming the same way,
+/// and its panic is re-raised here once every worker has returned.
 ///
 /// `threads` (0 = one per core) is the **total** simulation thread
 /// count. Each worker claims points through an atomic cursor and
@@ -150,12 +153,14 @@ where
     let active = AtomicUsize::new(0);
     let slots: Mutex<Vec<Option<T>>> = Mutex::new((0..n).map(|_| None).collect());
     let failure: Mutex<Option<E>> = Mutex::new(None);
+    let panicked: Mutex<Option<Box<dyn Any + Send>>> = Mutex::new(None);
     std::thread::scope(|scope| {
         for worker in 0..workers {
             // `move` is only for the worker index; everything else is
             // captured as a shared borrow.
-            let (pool, obs_scope, next, active, slots, failure, task) =
-                (&pool, &obs_scope, &next, &active, &slots, &failure, &task);
+            let (pool, obs_scope, next, active, slots, failure, panicked, task) = (
+                &pool, &obs_scope, &next, &active, &slots, &failure, &panicked, &task,
+            );
             scope.spawn(move || {
                 let _ambient = set_ambient_pool(Arc::clone(pool));
                 let _obs = obs_scope.as_ref().map(coopckpt_obs::enter);
@@ -165,20 +170,25 @@ where
                         break;
                     }
                     active.fetch_add(1, Ordering::SeqCst);
-                    let finished = match task(i, worker) {
-                        Ok(value) => {
+                    let finished = match panic::catch_unwind(AssertUnwindSafe(|| task(i, worker))) {
+                        Ok(Ok(value)) => {
                             slots.lock()[i] = Some(value);
                             true
                         }
-                        Err(e) => {
+                        Ok(Err(e)) => {
                             failure.lock().get_or_insert(e);
-                            // Park the cursor so idle workers stop
-                            // claiming points (in-flight ones finish
-                            // harmlessly).
-                            next.store(n, Ordering::Relaxed);
+                            false
+                        }
+                        Err(payload) => {
+                            panicked.lock().get_or_insert(payload);
                             false
                         }
                     };
+                    if !finished {
+                        // Park the cursor so idle workers stop claiming
+                        // points (in-flight ones finish harmlessly).
+                        next.store(n, Ordering::Relaxed);
+                    }
                     active.fetch_sub(1, Ordering::SeqCst);
                     // A help_until condition below may have just become
                     // true; wake the waiters so they re-check.
@@ -198,6 +208,9 @@ where
             });
         }
     });
+    if let Some(payload) = panicked.into_inner() {
+        panic::resume_unwind(payload);
+    }
     if let Some(e) = failure.into_inner() {
         return Err(e);
     }
@@ -366,6 +379,7 @@ impl OpPointCache {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::sim::InterferenceKind;
     use crate::strategy::Strategy;
     use coopckpt_des::Duration;
     use coopckpt_model::{AppClass, Bandwidth, Bytes, Platform};
@@ -480,6 +494,50 @@ mod tests {
         let results = cache.run_all(&cfg, &MonteCarloConfig::new(1));
         assert!(results[0].trace.is_some(), "trace must still be recorded");
         assert!(cache.is_empty(), "trace runs must not be memoized");
+    }
+
+    /// Runs `f` on its own thread and returns the message it panicked
+    /// with. Fails if `f` returns normally or is still running after ten
+    /// seconds, so a hang fails by the deadline instead of stalling the
+    /// suite.
+    fn panic_within_deadline(f: impl FnOnce() + Send + 'static) -> String {
+        let (tx, rx) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            let outcome = panic::catch_unwind(AssertUnwindSafe(f)).map_err(|payload| {
+                payload
+                    .downcast_ref::<&str>()
+                    .map(|s| s.to_string())
+                    .or_else(|| payload.downcast_ref::<String>().cloned())
+                    .unwrap_or_default()
+            });
+            tx.send(outcome).ok();
+        });
+        rx.recv_timeout(std::time::Duration::from_secs(10))
+            .expect("still running after 10 s")
+            .expect_err("must panic")
+    }
+
+    #[test]
+    fn a_panicking_point_reaches_the_caller_instead_of_hanging() {
+        let message = panic_within_deadline(|| {
+            let _ = run_points(6, 2, |i, _| {
+                if i == 2 {
+                    panic!("point 2 fails");
+                }
+                Ok::<usize, ()>(i)
+            });
+        });
+        assert!(message.contains("point 2 fails"), "{message}");
+        // The same when the panic comes from a sample that another worker
+        // may have stolen from the point's batch.
+        let message = panic_within_deadline(|| {
+            let bad = config().with_interference(InterferenceKind::Degraded(-1.0));
+            let _ = run_points(4, 2, |i, _| {
+                let cfg = if i == 1 { bad.clone() } else { config() };
+                Ok::<usize, ()>(run_all(&cfg, &MonteCarloConfig::new(6)).len())
+            });
+        });
+        assert!(message.contains("non-negative"), "{message}");
     }
 
     #[test]

@@ -21,8 +21,10 @@
 //! under it, so a stolen chunk still bills its samples to the point that
 //! submitted it.
 
+use std::any::Any;
 use std::collections::VecDeque;
 use std::ops::Range;
+use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 
@@ -59,6 +61,9 @@ struct JobInner<C, U> {
     remaining: AtomicUsize,
     /// `(unit index, result)` in completion order; sorted at join.
     results: Mutex<Vec<(usize, U)>>,
+    /// The first panic a unit raised; the job's remaining chunks are
+    /// then skipped, and [`Pool::join`] re-raises it on the owner.
+    panic: Mutex<Option<Box<dyn Any + Send>>>,
     /// Telemetry scope of the submitter, entered around every chunk.
     scope: Option<coopckpt_obs::Scope>,
 }
@@ -133,6 +138,7 @@ impl<C: Send + Sync, U: Send> Pool<C, U> {
             base_seed,
             remaining: AtomicUsize::new(units),
             results: Mutex::new(Vec::with_capacity(units)),
+            panic: Mutex::new(None),
             scope: coopckpt_obs::current_scope(),
         });
         let chunk_size = units.div_ceil(self.workers * CHUNKS_PER_WORKER).max(1);
@@ -154,22 +160,36 @@ impl<C: Send + Sync, U: Send> Pool<C, U> {
 
     /// Runs one chunk to completion and deposits its results. On the last
     /// chunk of a job, wakes every waiter (joiners of that job and helpers
-    /// whose condition may now hold).
+    /// whose condition may now hold). A panicking unit does not unwind
+    /// past here: its payload is parked on the job, the chunk still
+    /// counts as done, and the job's later chunks are skipped, so nobody
+    /// waits for results that will never come.
     fn exec_chunk(&self, chunk: Chunk<C, U>) {
         let live = LIVE_UNIT_WORKERS.fetch_add(1, Ordering::SeqCst) + 1;
         PEAK_UNIT_WORKERS.fetch_max(live, Ordering::SeqCst);
-        let _guard = chunk.job.scope.as_ref().map(coopckpt_obs::enter);
-        let mut local = Vec::with_capacity(chunk.range.len());
-        for i in chunk.range.clone() {
-            let seed = chunk.job.base_seed.wrapping_add(i as u64);
-            local.push((i, (self.run)(&chunk.job.ctx, seed)));
+        let job = &chunk.job;
+        let done = chunk.range.len();
+        if job.panic.lock().unwrap().is_none() {
+            let run = panic::catch_unwind(AssertUnwindSafe(|| {
+                let _guard = job.scope.as_ref().map(coopckpt_obs::enter);
+                let mut local = Vec::with_capacity(done);
+                for i in chunk.range.clone() {
+                    let seed = job.base_seed.wrapping_add(i as u64);
+                    local.push((i, (self.run)(&job.ctx, seed)));
+                }
+                local
+            }));
+            match run {
+                Ok(local) => job.results.lock().unwrap().extend(local),
+                Err(payload) => {
+                    job.panic.lock().unwrap().get_or_insert(payload);
+                }
+            }
         }
-        let done = local.len();
-        chunk.job.results.lock().unwrap().extend(local);
         LIVE_UNIT_WORKERS.fetch_sub(1, Ordering::SeqCst);
         // Results land before the count drops, so `remaining == 0`
         // implies every result is visible to whoever observes it.
-        if chunk.job.remaining.fetch_sub(done, Ordering::SeqCst) == done {
+        if job.remaining.fetch_sub(done, Ordering::SeqCst) == done {
             // Lock-then-notify: a joiner checks `remaining` under the
             // queue lock before waiting, so taking the lock here makes
             // that check and this notification mutually ordered — the
@@ -185,6 +205,8 @@ impl<C: Send + Sync, U: Send> Pool<C, U> {
     /// completable by its submitter alone — no worker count, cache fill,
     /// or helper scheduling can deadlock a join. Joining the same job
     /// twice yields an empty second result (the first join drains it).
+    /// If a unit of the job panicked, wherever it ran, the join re-raises
+    /// that panic once every chunk has been accounted for.
     pub fn join(&self, job: &Job<C, U>) -> Vec<U> {
         loop {
             if job.is_done() {
@@ -205,6 +227,9 @@ impl<C: Send + Sync, U: Send> Pool<C, U> {
                     drop(self.cv.wait(queue).unwrap());
                 }
             }
+        }
+        if let Some(payload) = job.inner.panic.lock().unwrap().take() {
+            panic::resume_unwind(payload);
         }
         let mut collected = std::mem::take(&mut *job.inner.results.lock().unwrap());
         collected.sort_unstable_by_key(|(i, _)| *i);
@@ -364,6 +389,32 @@ mod tests {
         let got = run_standalone(1, Arc::new(1u64), 0, 64, |o, s| s.wrapping_mul(*o));
         assert_eq!(got.len(), 64);
         assert_eq!(unit_worker_peak(), 1);
+    }
+
+    #[test]
+    fn a_panicking_unit_reaches_the_owner_instead_of_hanging() {
+        let _gate = gate();
+        // On its own thread, so a hang fails by the deadline below instead
+        // of stalling the suite.
+        let (tx, rx) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            let outcome = panic::catch_unwind(|| {
+                run_standalone(2, Arc::new(()), 0, 16, |_: &(), seed| {
+                    if seed == 5 {
+                        panic!("unit 5 fails");
+                    }
+                    seed
+                })
+            });
+            tx.send(outcome.map_err(|p| p.downcast_ref::<&str>().map(|s| s.to_string())))
+                .ok();
+        });
+        let outcome = rx
+            .recv_timeout(std::time::Duration::from_secs(10))
+            .expect("the pool still runs after 10 s");
+        assert_eq!(outcome, Err(Some("unit 5 fails".to_string())));
+        // Every worker left its chunk: the live gauge is back to zero.
+        assert_eq!(LIVE_UNIT_WORKERS.load(Ordering::SeqCst), 0);
     }
 
     #[test]
