@@ -445,11 +445,33 @@ impl Scenario {
     /// The application classes on the given platform. Trace workloads
     /// are scanned up to the scenario span and return the synthesized
     /// shape table — which is why resolution can fail (missing file,
-    /// malformed record, no jobs inside the span).
+    /// malformed record, no jobs inside the span). Custom classes get the
+    /// two job checks a trace record gets: the job fits the platform and
+    /// its checkpoint is not empty.
     pub fn resolve_classes(&self, platform: &Platform) -> Result<Vec<AppClass>, ScenarioError> {
         match &self.workload {
             WorkloadSource::Apex => Ok(coopckpt_workload::classes_for(platform)),
-            WorkloadSource::Custom(classes) => Ok(classes.clone()),
+            WorkloadSource::Custom(classes) => {
+                for (i, c) in classes.iter().enumerate() {
+                    let field = |key: &str| format!("workload.classes[{i}].{key}");
+                    if c.q_nodes > platform.nodes {
+                        return Err(ScenarioError::invalid(
+                            field("q_nodes"),
+                            format!(
+                                "class '{}' requests {} nodes but {} has only {}",
+                                c.name, c.q_nodes, platform.name, platform.nodes
+                            ),
+                        ));
+                    }
+                    if !c.ckpt_bytes.is_valid() || c.ckpt_bytes.is_zero() {
+                        return Err(ScenarioError::invalid(
+                            field(CKPT.human),
+                            format!("class '{}': checkpoint volume must be positive", c.name),
+                        ));
+                    }
+                }
+                Ok(classes.clone())
+            }
             WorkloadSource::Trace(spec) => Ok(self.scan_trace(spec, platform)?.0),
         }
     }
@@ -1493,6 +1515,7 @@ mod tests {
                 "failures",
             ),
             (r#"{"interference": "chaotic"}"#, "interference"),
+            (r#"{"interference": "degraded:-0.5"}"#, "interference"),
             (r#"{"platform": {"preset": "nope"}}"#, "platform"),
             (r#"{"sweep": {"axis": "altitude"}}"#, "sweep.axis"),
             (
@@ -1510,6 +1533,18 @@ mod tests {
                 r#"{"workload": {"classes": [{"name": "a", "q_nodes": 8,
                     "walltime_hours": 10, "resource_share": 0.5, "input_gb": 1,
                     "output_gb": 1, "ckpt_gb": 1}]}}"#,
+                "workload.classes",
+            ),
+            (
+                r#"{"workload": {"classes": [{"name": "a", "q_nodes": 99999,
+                    "walltime_hours": 10, "resource_share": 1, "input_gb": 1,
+                    "output_gb": 1, "ckpt_gb": 1}]}}"#,
+                "workload.classes",
+            ),
+            (
+                r#"{"workload": {"classes": [{"name": "a", "q_nodes": 8,
+                    "walltime_hours": 10, "resource_share": 1, "input_gb": 1,
+                    "output_gb": 1, "ckpt_gb": 0}]}}"#,
                 "workload.classes",
             ),
             (r#"{"regular_io_chunks": 0}"#, "regular_io_chunks"),

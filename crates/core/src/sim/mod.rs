@@ -105,8 +105,10 @@ impl std::str::FromStr for InterferenceKind {
                     let a: f64 = alpha
                         .parse()
                         .map_err(|_| format!("bad degraded exponent '{alpha}'"))?;
-                    if !a.is_finite() {
-                        return Err(format!("degraded exponent must be finite, got '{alpha}'"));
+                    if !(a.is_finite() && a >= 0.0) {
+                        return Err(format!(
+                            "degraded exponent must be finite and non-negative, got '{alpha}'"
+                        ));
                     }
                     Ok(InterferenceKind::Degraded(a))
                 } else {
