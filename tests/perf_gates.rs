@@ -88,7 +88,7 @@ mod timed {
     }
 
     /// `ROUNDS` readings of `median_time(a) / median_time(b)`, each timing
-    /// `a` first, sorted.
+    /// `a` first and `b` right after, sorted.
     fn ratios<O>(mut a: impl FnMut() -> O, mut b: impl FnMut() -> O) -> Vec<f64> {
         let mut ratios: Vec<f64> = (0..ROUNDS)
             .map(|_| median_time(&mut a) / median_time(&mut b))
@@ -156,10 +156,11 @@ mod timed {
     }
 
     /// The three gates in sequence, in one test, so that nothing else
-    /// runs beside the pool gate. The pool gate goes first: after the
-    /// heap oracle's large allocations the pooled arm read slower than one
-    /// thread (0.88–0.96×) in 3 of 3 runs. Within each pair the calendar
-    /// goes first, as it runs slower right after a heap run.
+    /// runs beside the pool gate. The pool gate goes first: run after the
+    /// queue kernels, the pooled arm read slower than one thread
+    /// (0.88–0.96×) in 3 of 3 runs on a 2-vCPU VM. `QUEUE_RATIO_REF` was
+    /// measured with this exact sequence, so the order is part of the
+    /// gate.
     #[test]
     fn same_run_gates_hold() {
         let mut failures = Vec::new();
