@@ -10,7 +10,8 @@
 /// as the peak number of live allocations, not the number ever issued. A
 /// released id stays dead after its slot is reused: its sequence number no
 /// longer matches the slot's. The pair packs into 8 bytes because the pool
-/// stores one id per allocated node.
+/// stores one id per allocated word and per node taken from a partly free
+/// word.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct AllocId {
     seq: u32,
@@ -18,6 +19,14 @@ pub struct AllocId {
 }
 
 const _: () = assert!(std::mem::size_of::<AllocId>() == 8);
+
+/// The id no allocation has: its slot lies past any slab the pool can
+/// build (slots stay below `u32::MAX`, since sequence numbers run out
+/// first), so it is never live.
+const NO_ALLOC: AllocId = AllocId {
+    seq: 0,
+    slot: u32::MAX,
+};
 
 impl AllocId {
     /// The allocation's slot in the pool's slab, shared with earlier,
@@ -49,10 +58,29 @@ struct Slot {
 /// one mask operation: only its last, partly taken word is walked bit by
 /// bit. A failed ~2300-node Cielo job is freed and re-placed ~36 words at
 /// a time, not node by node.
+///
+/// Occupancy is recorded the same way. An allocation that takes all 64
+/// nodes of a word writes its id once into `word_owner`; only nodes taken
+/// from a partly free word get a per-node `owner` entry, and release
+/// writes to neither. [`occupant`](Self::occupant) returns the word's
+/// owner while that id is live and the node's entry otherwise, which is
+/// exact:
+///
+/// - while a word's owner is live it holds every node of the word, so no
+///   other allocation holds any of them;
+/// - when the word's owner is dead (released, or `NO_ALLOC`), the
+///   node's current holder took it from a partly free word, so it wrote
+///   the node's `owner` entry, and nothing has written that entry since;
+/// - `word_owner` starts at `NO_ALLOC`, an id no slot matches.
 #[derive(Debug, Clone)]
 pub struct NodePool {
-    /// Occupant of each node, valid only while the node's free bit is
-    /// clear: allocation writes it, release leaves it stale.
+    /// Owner of each word whose 64 nodes one allocation took at once.
+    /// Valid while that id is live; a word whose owner is dead is
+    /// answered by `owner`.
+    word_owner: Vec<AllocId>,
+    /// Occupant of each node taken from a partly free word, valid while
+    /// the node's free bit is clear and its word's owner is dead. Nodes of
+    /// wholly taken words keep whatever entry they had.
     owner: Vec<AllocId>,
     /// Free-node bitset: bit `n % 64` of word `n / 64` is set iff node
     /// `n` is free (bits past the last node stay clear). Scanning words
@@ -85,7 +113,8 @@ impl NodePool {
             free_bits[words - 1] = (1u64 << (nodes % 64)) - 1;
         }
         NodePool {
-            owner: vec![AllocId { seq: 0, slot: 0 }; nodes],
+            word_owner: vec![NO_ALLOC; words],
+            owner: vec![NO_ALLOC; nodes],
             free_bits,
             free_count: nodes,
             first_maybe_free: 0,
@@ -158,7 +187,11 @@ impl NodePool {
                 };
                 debug_assert_eq!(taken & !bits, 0, "assigned a node that was not free");
                 self.free_bits[w] = bits & !taken;
-                self.set_owner(w, taken, id);
+                if taken == !0 {
+                    self.word_owner[w] = id;
+                } else {
+                    self.set_owner(w, taken, id);
+                }
                 words.push((w, taken));
                 need -= avail.min(need);
                 if need == 0 {
@@ -175,8 +208,8 @@ impl NodePool {
         Some(id)
     }
 
-    /// Records `id` as the occupant of the nodes in `mask` of word `w`,
-    /// one slice fill per run of consecutive nodes.
+    /// Records `id` as the occupant of the nodes in `mask` of a partly
+    /// free word `w`, one slice fill per run of consecutive nodes.
     fn set_owner(&mut self, w: usize, mask: u64, id: AllocId) {
         let mut m = mask;
         while m != 0 {
@@ -221,8 +254,16 @@ impl NodePool {
     ///
     /// Panics when `node` is out of range.
     pub fn occupant(&self, node: usize) -> Option<AllocId> {
-        let owner = self.owner[node];
-        (self.free_bits[node / 64] >> (node % 64) & 1 == 0).then_some(owner)
+        let w = node / 64;
+        if self.free_bits[w] >> (node % 64) & 1 != 0 {
+            return None;
+        }
+        let whole = self.word_owner[w];
+        Some(if self.words_of(whole).is_some() {
+            whole
+        } else {
+            self.owner[node]
+        })
     }
 
     /// The nodes of a live allocation, in ascending order.
@@ -331,6 +372,60 @@ mod tests {
         assert_eq!(pool.nodes_of(b).unwrap(), &[0, 1]);
         assert_eq!(pool.occupant(0), Some(b));
         assert_eq!(pool.release(b), Some(2));
+    }
+
+    #[test]
+    fn a_released_word_owner_never_answers_for_its_word() {
+        let mut pool = NodePool::new(128);
+        let a = pool.allocate(64).unwrap();
+        assert_eq!(pool.word_owner[0], a);
+        pool.release(a);
+        // B reuses A's slot and takes part of word 0; C takes the rest.
+        let b = pool.allocate(10).unwrap();
+        assert_eq!(b.slot(), a.slot());
+        let c = pool.allocate(54).unwrap();
+        assert_eq!(pool.word_owner[0], a, "word 0 still names A");
+        for n in 0..64 {
+            assert_eq!(
+                pool.occupant(n),
+                Some(if n < 10 { b } else { c }),
+                "node {n}"
+            );
+        }
+        // A word owner that was released while its slot stayed empty:
+        // D takes word 1 whole; D then C are released, and E takes C's
+        // slot (last in, first out) and part of word 1.
+        let d = pool.allocate(64).unwrap();
+        pool.release(d);
+        pool.release(c);
+        let e = pool.allocate(60).unwrap();
+        assert_eq!(e.slot(), c.slot());
+        assert_eq!(pool.word_owner[1], d);
+        assert_eq!(pool.nodes_of(e).unwrap(), (10..70).collect::<Vec<_>>());
+        for n in 0..128 {
+            let want = match n {
+                0..10 => Some(b),
+                10..70 => Some(e),
+                _ => None,
+            };
+            assert_eq!(pool.occupant(n), want, "node {n}");
+        }
+    }
+
+    #[test]
+    fn whole_word_allocations_write_no_node_entries() {
+        let mut pool = NodePool::new(200);
+        let a = pool.allocate(128).unwrap();
+        assert_eq!(&pool.word_owner[..2], &[a, a]);
+        assert!(pool.owner.iter().all(|&o| o == NO_ALLOC));
+        // 64 nodes that span two partly free words are a per-node fill.
+        let b = pool.allocate(8).unwrap();
+        let c = pool.allocate(64).unwrap();
+        assert_eq!(&pool.word_owner[2..], &[NO_ALLOC; 2]);
+        assert!(pool.owner[..128].iter().all(|&o| o == NO_ALLOC));
+        assert!(pool.owner[128..136].iter().all(|&o| o == b));
+        assert!(pool.owner[136..200].iter().all(|&o| o == c));
+        assert!((0..200).all(|n| pool.occupant(n).is_some()));
     }
 
     #[test]
