@@ -35,7 +35,9 @@
 //! thread count**. With a [`ResultCache`], each point's rendered report is
 //! stored under its [`cache_key`] — rerunning a suite skips
 //! already-computed points, and a resumed campaign's output is
-//! bit-identical to a cold one.
+//! bit-identical to a cold one. A point that reads a job-log file also
+//! stores a fingerprint of the file's bytes, so editing the log turns its
+//! entries into misses.
 //!
 //! [`compare_campaigns`] diffs two campaign (or single-report) JSON
 //! documents and highlights metric drift beyond a relative tolerance.
@@ -45,7 +47,8 @@ use crate::experiments::run_scenario_with_cache;
 use crate::json::{Json, JsonError};
 use crate::montecarlo::{run_points, OpPointCache};
 use crate::report::{Cell, OutputFormat, Report};
-use crate::scenario::{Scenario, ScenarioError};
+use crate::scenario::{Scenario, ScenarioError, WorkloadSource};
+use coopckpt_workload::trace_workload::TraceSpec;
 use parking_lot::Mutex;
 use std::collections::HashSet;
 use std::fmt;
@@ -351,15 +354,36 @@ fn fnv1a64(bytes: &[u8], offset_basis: u64) -> u64 {
 /// (`span_days` vs `span_secs`, `bandwidth_gbps` vs raw bytes/s) and JSON
 /// field order all collapse to one key, while every result-affecting
 /// field — seed, samples, strategy, any axis — feeds the hash.
+///
+/// A job-log workload enters the key by its path only; the
+/// [`ResultCache`] checks the log's content separately.
 pub fn cache_key(scenario: &Scenario) -> String {
     let mut sc = scenario.clone();
     sc.threads = 0;
-    let canonical = format!("{CACHE_SALT}\n{}", sc.to_json_string());
-    // Two passes with distinct offset bases: a 64-bit birthday bound is
-    // uncomfortable for long-lived caches; 128 bits is not.
-    let h1 = fnv1a64(canonical.as_bytes(), 0xcbf2_9ce4_8422_2325);
-    let h2 = fnv1a64(canonical.as_bytes(), 0x6c62_272e_07bb_0142);
+    fnv128_hex(format!("{CACHE_SALT}\n{}", sc.to_json_string()).as_bytes())
+}
+
+/// 128 bits of FNV-1a over `bytes`, in hex. Two passes with distinct
+/// offset bases: a 64-bit birthday bound is uncomfortable for long-lived
+/// caches; 128 bits is not.
+fn fnv128_hex(bytes: &[u8]) -> String {
+    let h1 = fnv1a64(bytes, 0xcbf2_9ce4_8422_2325);
+    let h2 = fnv1a64(bytes, 0x6c62_272e_07bb_0142);
     format!("{h1:016x}{h2:016x}")
+}
+
+/// The content fingerprint of a point whose workload is a job-log file:
+/// [`fnv128_hex`] of the file's bytes, or `None` for any other workload
+/// (a `synthetic:` spec is its own content, and the key holds it).
+fn trace_fingerprint(sc: &Scenario) -> Result<Option<String>, CampaignError> {
+    let WorkloadSource::Trace(spec) = &sc.workload else {
+        return Ok(None);
+    };
+    let Ok(TraceSpec::Path(path)) = TraceSpec::parse(spec) else {
+        return Ok(None);
+    };
+    let bytes = std::fs::read(&path).map_err(|e| CampaignError::io(&path, e))?;
+    Ok(Some(fnv128_hex(&bytes)))
 }
 
 /// What the disk cache stores per point: the report's JSON document plus
@@ -375,8 +399,10 @@ struct CachedResult {
 
 /// A directory of content-addressed campaign results (`<key>.json`, one
 /// per operating point). Corrupt, truncated or salt-mismatched entries
-/// read as misses and are recomputed; writes go through a temp file +
-/// rename so a crashed run never leaves a half-written entry behind.
+/// read as misses and are recomputed, as does an entry whose job-log
+/// fingerprint (`trace_fnv`) is missing or no longer matches the log's
+/// bytes; writes go through a temp file + rename so a crashed run never
+/// leaves a half-written entry behind.
 #[derive(Debug)]
 pub struct ResultCache {
     dir: PathBuf,
@@ -399,11 +425,12 @@ impl ResultCache {
         self.dir.join(format!("{key}.json"))
     }
 
-    fn load(&self, key: &str) -> Option<CachedResult> {
+    fn load(&self, key: &str, trace_fnv: Option<&str>) -> Option<CachedResult> {
         let text = std::fs::read_to_string(self.entry_path(key)).ok()?;
         let v = Json::parse(&text).ok()?;
         if v.get("salt").and_then(Json::as_str) != Some(CACHE_SALT)
             || v.get("key").and_then(Json::as_str) != Some(key)
+            || v.get("trace_fnv").and_then(Json::as_str) != trace_fnv
         {
             return None;
         }
@@ -463,14 +490,21 @@ impl ResultCache {
         Ok((kept, evicted))
     }
 
-    fn store(&self, key: &str, entry: &CampaignEntry) -> Result<(), CampaignError> {
-        let doc = Json::obj([
-            ("salt", Json::str(CACHE_SALT)),
+    fn store(
+        &self,
+        key: &str,
+        trace_fnv: Option<&str>,
+        entry: &CampaignEntry,
+    ) -> Result<(), CampaignError> {
+        let mut fields = vec![("salt", Json::str(CACHE_SALT))];
+        fields.extend(trace_fnv.map(|fp| ("trace_fnv", Json::str(fp))));
+        fields.extend([
             ("key", Json::str(key)),
             ("report", entry.report.clone()),
             ("text", Json::str(entry.text.clone())),
             ("csv", Json::str(entry.csv.clone())),
         ]);
+        let doc = Json::obj(fields);
         // Per-process temp name: within one run keys are unique (the
         // suite is deduplicated), so only concurrent *processes* can race
         // on a key — and then both write identical content and the
@@ -611,9 +645,11 @@ fn run_point(
     op_cache: &OpPointCache,
 ) -> Result<CampaignEntry, CampaignError> {
     let key = cache_key(sc);
+    let mut trace_fnv = None;
     if let Some(c) = cache {
+        trace_fnv = trace_fingerprint(sc)?;
         coopckpt_obs::count(coopckpt_obs::Counter::ResultCacheLookups, 1);
-        if let Some(hit) = c.load(&key) {
+        if let Some(hit) = c.load(&key, trace_fnv.as_deref()) {
             coopckpt_obs::count(coopckpt_obs::Counter::ResultCacheHits, 1);
             return Ok(CampaignEntry {
                 name: sc.name.clone(),
@@ -639,7 +675,7 @@ fn run_point(
         from_cache: false,
     };
     if let Some(c) = cache {
-        c.store(&key, &entry)?;
+        c.store(&key, trace_fnv.as_deref(), &entry)?;
     }
     Ok(entry)
 }
@@ -1058,7 +1094,7 @@ mod tests {
         let dir = temp_dir("gc");
         let cache = ResultCache::new(&dir).unwrap();
         // A live entry, written the way the runner writes them.
-        cache.store("aaaa", &entry("aaaa")).unwrap();
+        cache.store("aaaa", None, &entry("aaaa")).unwrap();
         // A stale entry from a previous salt, a corrupt one, a crashed
         // writer's temp file, and a foreign file.
         let stale = Json::obj([
@@ -1077,7 +1113,7 @@ mod tests {
         assert_eq!((kept, evicted), (1, 3));
         // The live entry still hits; the stale ones are gone; foreign
         // files are untouched.
-        assert!(cache.load("aaaa").is_some());
+        assert!(cache.load("aaaa", None).is_some());
         assert!(!dir.join("bbbb.json").exists());
         assert!(!dir.join("cccc.json").exists());
         assert!(!dir.join("dddd.12345.tmp").exists());

@@ -9,7 +9,9 @@
 //!   through an atomic cursor but the merge is in expansion order.
 //! * **Resume identity** — with an on-disk [`ResultCache`], a warm rerun
 //!   serves every point from cache and renders bit-identically to the
-//!   cold run, including after a partial cache loss.
+//!   cold run, including after a partial cache loss. A point that reads a
+//!   job-log file is served from cache only while the file's bytes are
+//!   the ones it was computed from.
 //! * **Key hygiene** — [`cache_key`] is invariant under JSON field order,
 //!   human-unit spellings and the `threads` knob, and distinct under any
 //!   result-affecting change (seed, samples, an axis value).
@@ -25,7 +27,7 @@ use coopckpt::campaign::{
 use coopckpt::json::Json;
 use coopckpt::prelude::*;
 use proptest::prelude::{prop_assert, prop_assert_eq, proptest};
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
 fn preset_path(name: &str) -> PathBuf {
@@ -404,6 +406,86 @@ fn warm_cache_resume_is_bit_identical_to_a_cold_run() {
     assert_eq!(healed.cached_points(), n - 1);
     assert_eq!(renders(&cold), renders(&healed));
 
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// Runs the one-point suite over the job log at `log` (one day, two
+/// samples), into the result cache at `cache` or cold without one. Each
+/// run gets a fresh operating-point cache, as a new process would.
+fn run_log_suite(log: &Path, cache: Option<&Path>) -> coopckpt::campaign::Campaign {
+    let trace = Json::str(log.to_str().expect("utf-8 temp path"));
+    let doc = Json::obj([
+        ("workload", Json::obj([("trace", trace)])),
+        ("span_days", Json::Num(1.0)),
+        ("samples", Json::Num(2.0)),
+        ("seed", Json::Num(1.0)),
+    ]);
+    let suite = Suite::parse(&doc.to_string()).expect("job-log suite parses");
+    let opts = CampaignOptions {
+        threads: 1,
+        cache: cache.map(|dir| ResultCache::new(dir).expect("cache dir")),
+        op_cache: Some(Arc::new(OpPointCache::new())),
+    };
+    run_suite(&suite, &opts).expect("job-log suite runs")
+}
+
+/// The checked-in 1k-job log's text.
+fn sample_log() -> String {
+    let path = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("scenarios/traces/sample_1k.csv");
+    std::fs::read_to_string(path).expect("sample log is checked in")
+}
+
+#[test]
+fn an_edited_job_log_is_recomputed_not_served_from_cache() {
+    let dir = scratch_dir("log_edit");
+    std::fs::create_dir_all(&dir).unwrap();
+    let (log, cache) = (dir.join("t.csv"), dir.join("cache"));
+    let run = |cache: Option<&Path>| run_log_suite(&log, cache);
+
+    let original = sample_log();
+    std::fs::write(&log, &original).unwrap();
+    let first = run(Some(&cache));
+    assert_eq!(first.cached_points(), 0);
+
+    // Same path, other jobs: the header and every other record.
+    let edited: String = original
+        .lines()
+        .step_by(2)
+        .map(|line| format!("{line}\n"))
+        .collect();
+    std::fs::write(&log, &edited).unwrap();
+    let rerun = run(Some(&cache));
+    assert_eq!(rerun.cached_points(), 0, "a stale report was served");
+    assert_eq!(
+        renders(&rerun),
+        renders(&run(None)),
+        "rerun differs from a cold run"
+    );
+    assert_ne!(
+        renders(&rerun),
+        renders(&first),
+        "the edit changes the report"
+    );
+
+    // The recomputed entry replaced the stale one.
+    assert_eq!(run(Some(&cache)).cached_points(), 1);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn an_unchanged_job_log_is_served_from_cache() {
+    let dir = scratch_dir("log_same");
+    std::fs::create_dir_all(&dir).unwrap();
+    let (log, cache) = (dir.join("t.csv"), dir.join("cache"));
+    let run = |cache: Option<&Path>| run_log_suite(&log, cache);
+
+    std::fs::write(&log, sample_log()).unwrap();
+    let cold = run(Some(&cache));
+    // Rewriting the same bytes keeps every entry.
+    std::fs::write(&log, sample_log()).unwrap();
+    let warm = run(Some(&cache));
+    assert_eq!(warm.cached_points(), 1);
+    assert_eq!(renders(&cold), renders(&warm));
     std::fs::remove_dir_all(&dir).ok();
 }
 
