@@ -9,11 +9,16 @@
 //! | `COOPCKPT_SPAN_DAYS`   | simulated span per instance     | 60      |
 //! | `COOPCKPT_THREADS`     | worker threads (0 = all cores)  | 0       |
 //!
+//! A variable that is set must hold a usable value: a value that does not
+//! parse, zero samples, or a span that is not a positive finite number
+//! stops the binary with an error naming the variable (exit 1).
+//!
 //! Results are printed as an aligned table and, when `--csv <path>` is
 //! passed, also written as CSV for plotting.
 
 use coopckpt::prelude::*;
 use coopckpt_stats::Table;
+use std::str::FromStr;
 
 /// Run-scale knobs read from the environment.
 #[derive(Debug, Clone, Copy)]
@@ -27,13 +32,46 @@ pub struct BenchScale {
 }
 
 impl BenchScale {
-    /// Reads `COOPCKPT_SAMPLES` / `COOPCKPT_SPAN_DAYS` / `COOPCKPT_THREADS`.
+    /// Reads `COOPCKPT_SAMPLES` / `COOPCKPT_SPAN_DAYS` / `COOPCKPT_THREADS`
+    /// (see [`from_lookup`](Self::from_lookup)). On a value it cannot use
+    /// it prints the error and exits 1, as the CLI does for a bad flag
+    /// value.
     pub fn from_env() -> Self {
-        BenchScale {
-            samples: env_parse("COOPCKPT_SAMPLES", 100),
-            span: Duration::from_days(env_parse("COOPCKPT_SPAN_DAYS", 60.0)),
-            threads: env_parse("COOPCKPT_THREADS", 0),
-        }
+        let lookup = |var: &str| std::env::var_os(var).map(|v| v.to_string_lossy().into_owned());
+        Self::from_lookup(lookup).unwrap_or_else(|e| {
+            eprintln!("error: {e}");
+            std::process::exit(1)
+        })
+    }
+
+    /// Reads the scale through `lookup`, which gives a variable's value or
+    /// `None` when it is unset. An unset variable takes its default; a set
+    /// one must parse, samples must be positive, and the span must be a
+    /// positive finite number of days.
+    pub fn from_lookup(lookup: impl Fn(&str) -> Option<String>) -> Result<Self, String> {
+        Ok(BenchScale {
+            samples: scale_var(
+                &lookup,
+                "COOPCKPT_SAMPLES",
+                100,
+                "a positive whole number",
+                |&n| n > 0,
+            )?,
+            span: Duration::from_days(scale_var(
+                &lookup,
+                "COOPCKPT_SPAN_DAYS",
+                60.0,
+                "a positive, finite number of days",
+                |d: &f64| d.is_finite() && *d > 0.0,
+            )?),
+            threads: scale_var(
+                &lookup,
+                "COOPCKPT_THREADS",
+                0,
+                "a whole number (0 = all cores)",
+                |_| true,
+            )?,
+        })
     }
 
     /// The Monte-Carlo configuration for this scale.
@@ -65,11 +103,23 @@ pub fn cielo_scenario(bandwidth_gbps: f64, scale: &BenchScale) -> Scenario {
     scale.apply(sc)
 }
 
-fn env_parse<T: std::str::FromStr + Copy>(key: &str, default: T) -> T {
-    std::env::var(key)
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
+/// `var`'s value through `lookup`: `default` when unset, else the value
+/// if it parses and passes `valid`. The error names the variable, its
+/// value and what it must hold.
+fn scale_var<T: FromStr>(
+    lookup: impl Fn(&str) -> Option<String>,
+    var: &str,
+    default: T,
+    expected: &str,
+    valid: impl Fn(&T) -> bool,
+) -> Result<T, String> {
+    let Some(value) = lookup(var) else {
+        return Ok(default);
+    };
+    match value.parse() {
+        Ok(v) if valid(&v) => Ok(v),
+        _ => Err(format!("bad {var} '{value}': expected {expected}")),
+    }
 }
 
 /// The rows of a sweep report's `sweep` section: `x, series, mean, d1,
@@ -182,6 +232,57 @@ mod tests {
         let mc = s.mc();
         assert_eq!(mc.samples, 7);
         assert_eq!(mc.threads, 2);
+    }
+
+    /// A lookup that sees only `vars`.
+    fn lookup<'a>(vars: &'a [(&str, &str)]) -> impl Fn(&str) -> Option<String> + 'a {
+        move |var| {
+            vars.iter()
+                .find(|(k, _)| *k == var)
+                .map(|(_, v)| v.to_string())
+        }
+    }
+
+    #[test]
+    fn scale_takes_defaults_and_set_values() {
+        let s = BenchScale::from_lookup(lookup(&[])).unwrap();
+        assert_eq!(
+            (s.samples, s.span, s.threads),
+            (100, Duration::from_days(60.0), 0)
+        );
+        let set = [
+            ("COOPCKPT_SAMPLES", "3"),
+            ("COOPCKPT_SPAN_DAYS", "0.5"),
+            ("COOPCKPT_THREADS", "2"),
+        ];
+        let s = BenchScale::from_lookup(lookup(&set)).unwrap();
+        assert_eq!(
+            (s.samples, s.span, s.threads),
+            (3, Duration::from_days(0.5), 2)
+        );
+    }
+
+    #[test]
+    fn unusable_scale_values_are_errors_naming_the_variable() {
+        for (var, value) in [
+            ("COOPCKPT_SAMPLES", "abc"),
+            ("COOPCKPT_SAMPLES", "1e3"),
+            ("COOPCKPT_SAMPLES", "0"),
+            ("COOPCKPT_SAMPLES", ""),
+            ("COOPCKPT_SPAN_DAYS", "two"),
+            ("COOPCKPT_SPAN_DAYS", "0"),
+            ("COOPCKPT_SPAN_DAYS", "-1"),
+            ("COOPCKPT_SPAN_DAYS", "inf"),
+            ("COOPCKPT_SPAN_DAYS", "NaN"),
+            ("COOPCKPT_THREADS", "all"),
+            ("COOPCKPT_THREADS", "-1"),
+        ] {
+            let e = BenchScale::from_lookup(lookup(&[(var, value)])).unwrap_err();
+            assert!(
+                e.starts_with(&format!("bad {var} '{value}': expected ")),
+                "{e}"
+            );
+        }
     }
 
     #[test]
