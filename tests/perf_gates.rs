@@ -18,6 +18,9 @@
 //! ```text
 //! cargo test --release -q -p coopckpt-suite --test perf_gates
 //! ```
+//!
+//! They also compile under clippy, which checks code but never runs it,
+//! so a debug `cargo clippy --all-targets` lints them too.
 
 /// The pool gate's floor by core count. `None` skips the gate: one core
 /// has no parallelism to exploit. Two or three cores leave little
@@ -39,7 +42,7 @@ fn pool_gate_floor_scales_with_core_count() {
     assert_eq!(pool_speedup_floor(64), Some(2.0));
 }
 
-#[cfg(not(debug_assertions))]
+#[cfg(any(not(debug_assertions), clippy))]
 mod timed {
     use std::hint::black_box;
     use std::sync::Arc;
