@@ -49,11 +49,10 @@ use crate::montecarlo::{run_points, OpPointCache};
 use crate::report::{Cell, OutputFormat, Report};
 use crate::scenario::{Scenario, ScenarioError, WorkloadSource};
 use coopckpt_workload::trace_workload::TraceSpec;
-use parking_lot::Mutex;
 use std::collections::HashSet;
 use std::fmt;
 use std::path::{Path, PathBuf};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 /// Errors raised while loading, expanding, running or comparing a
 /// campaign.
@@ -739,12 +738,13 @@ where
                 worker,
                 &scope.snapshot(),
             );
-            journal.lock().push((entry.label().to_string(), i, record));
+            let line = (entry.label().to_string(), i, record);
+            journal.lock().unwrap().push(line);
         }
         on_done(i, &entry, wall_ms);
         Ok::<_, CampaignError>(entry)
     })?;
-    let mut records = journal.into_inner();
+    let mut records = journal.into_inner().unwrap();
     records.sort_by(|a, b| a.0.cmp(&b.0).then(a.1.cmp(&b.1)));
     for (_, _, record) in &records {
         coopckpt_obs::journal_line(&record.to_string());

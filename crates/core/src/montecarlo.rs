@@ -19,13 +19,12 @@
 use crate::scenario::Scenario;
 use crate::sim::{run_simulation, SimConfig, SimResult};
 use coopckpt_stats::Samples;
-use parking_lot::Mutex;
 use std::any::Any;
 use std::cell::RefCell;
 use std::collections::HashMap;
 use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::{Arc, Mutex, OnceLock, PoisonError};
 
 /// How many instances to run and how.
 #[derive(Debug, Clone)]
@@ -172,15 +171,15 @@ where
                     active.fetch_add(1, Ordering::SeqCst);
                     let finished = match panic::catch_unwind(AssertUnwindSafe(|| task(i, worker))) {
                         Ok(Ok(value)) => {
-                            slots.lock()[i] = Some(value);
+                            slots.lock().unwrap()[i] = Some(value);
                             true
                         }
                         Ok(Err(e)) => {
-                            failure.lock().get_or_insert(e);
+                            failure.lock().unwrap().get_or_insert(e);
                             false
                         }
                         Err(payload) => {
-                            panicked.lock().get_or_insert(payload);
+                            panicked.lock().unwrap().get_or_insert(payload);
                             false
                         }
                     };
@@ -208,14 +207,15 @@ where
             });
         }
     });
-    if let Some(payload) = panicked.into_inner() {
+    if let Some(payload) = panicked.into_inner().unwrap() {
         panic::resume_unwind(payload);
     }
-    if let Some(e) = failure.into_inner() {
+    if let Some(e) = failure.into_inner().unwrap() {
         return Err(e);
     }
     Ok(slots
         .into_inner()
+        .unwrap()
         .into_iter()
         .map(|slot| slot.expect("every point completed"))
         .collect())
@@ -327,7 +327,8 @@ impl OpPointCache {
 
     /// Number of memoized operating points.
     pub fn len(&self) -> usize {
-        self.map.lock().len()
+        let map = self.map.lock().unwrap_or_else(PoisonError::into_inner);
+        map.len()
     }
 
     /// True when nothing has been memoized yet.
@@ -354,7 +355,10 @@ impl OpPointCache {
         }
         coopckpt_obs::count(coopckpt_obs::Counter::OpCacheLookups, 1);
         let slot = {
-            let mut map = self.map.lock();
+            // `key` panics on a non-finite field while this lock is held,
+            // before the map is touched; recovering the intact map keeps
+            // one bad config from failing every later lookup.
+            let mut map = self.map.lock().unwrap_or_else(PoisonError::into_inner);
             map.entry(Self::key(config, mc)).or_default().clone()
         };
         let mut computed = false;
@@ -494,6 +498,19 @@ mod tests {
         let results = cache.run_all(&cfg, &MonteCarloConfig::new(1));
         assert!(results[0].trace.is_some(), "trace must still be recorded");
         assert!(cache.is_empty(), "trace runs must not be memoized");
+    }
+
+    #[test]
+    fn a_key_that_panics_leaves_the_cache_usable() {
+        // A NaN field panics while the key is built under the map lock.
+        let mut bad = config();
+        bad.workload_slack = f64::NAN;
+        let cache = OpPointCache::new();
+        let mc = MonteCarloConfig::new(1);
+        let outcome = panic::catch_unwind(AssertUnwindSafe(|| cache.run_all(&bad, &mc)));
+        assert!(outcome.is_err(), "a non-finite key must panic");
+        assert_eq!(cache.run_all(&config(), &mc).len(), 1);
+        assert_eq!(cache.len(), 1);
     }
 
     /// Runs `f` on its own thread and returns the message it panicked

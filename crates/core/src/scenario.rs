@@ -1608,7 +1608,7 @@ mod tests {
         let sc = Scenario::parse(r#"{"power": {"compute_w": 200, "ckpt_w": 400}}"#).unwrap();
         let p = sc.power.unwrap();
         assert_eq!(p.idle_w, 0.0);
-        assert!((p.energy_period_factor() - 2.0f64.sqrt()).abs() < 1e-12);
+        assert_eq!((p.compute_w, p.ckpt_w), (200.0, 400.0));
         // Unknown presets and keys are rejected.
         assert!(Scenario::parse(r#"{"power": "fusion"}"#).is_err());
         assert!(Scenario::parse(r#"{"power": {"watts": 5}}"#).is_err());

@@ -1,7 +1,5 @@
 //! Platform power models.
 
-use coopckpt_des::Duration;
-
 /// Per-phase power draw of a platform, in watts.
 ///
 /// Node-level fields are *per node*: a `q`-node job in a given phase draws
@@ -139,23 +137,6 @@ impl PowerModel {
         }
         Ok(())
     }
-
-    /// `√(ckpt_w / compute_w)` — the factor by which the energy-optimal
-    /// checkpoint period stretches (or shrinks) the time-optimal
-    /// Young/Daly period (Aupy et al.). `1.0` for zero-differential
-    /// models.
-    pub fn energy_period_factor(&self) -> f64 {
-        (self.ckpt_w / self.compute_w).sqrt()
-    }
-
-    /// The energy-optimal checkpoint period for commit cost `c` and job
-    /// MTBF `mtbf`: the Young/Daly period scaled by
-    /// [`energy_period_factor`](PowerModel::energy_period_factor).
-    pub fn energy_daly_period(&self, c: Duration, mtbf: Duration) -> Duration {
-        Duration::from_secs(
-            (2.0 * mtbf.as_secs() * c.as_secs()).sqrt() * self.energy_period_factor(),
-        )
-    }
 }
 
 #[cfg(test)]
@@ -182,22 +163,14 @@ mod tests {
     #[test]
     fn period_factor_directions() {
         // Cielo: checkpoint writes cheaper than compute -> shorter period.
-        assert!(PowerModel::cielo().energy_period_factor() < 1.0);
+        let cielo = PowerModel::cielo();
+        assert!(cielo.ckpt_w < cielo.compute_w);
         // Prospective Exascale: I/O-heavy -> longer period.
-        assert!(PowerModel::prospective().energy_period_factor() > 1.0);
+        let prospective = PowerModel::prospective();
+        assert!(prospective.ckpt_w > prospective.compute_w);
         // Zero differential -> exactly the Young/Daly period.
-        assert_eq!(PowerModel::uniform(100.0).energy_period_factor(), 1.0);
-    }
-
-    #[test]
-    fn energy_daly_period_scales_young_daly() {
-        let m = PowerModel::prospective();
-        let c = Duration::from_secs(200.0);
-        let mu = Duration::from_secs(10_000.0);
-        let p = m.energy_daly_period(c, mu);
-        // Young/Daly is 2000 s; the factor is sqrt(480/320).
-        let expect = 2000.0 * (480.0f64 / 320.0).sqrt();
-        assert!((p.as_secs() - expect).abs() < 1e-9);
+        let uniform = PowerModel::uniform(100.0);
+        assert_eq!(uniform.ckpt_w, uniform.compute_w);
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! Statistical distributions via inverse-transform and Box–Muller sampling.
+//! Statistical distributions via inverse-transform sampling.
 //!
 //! Implemented in-house (rather than through `rand_distr`) so sampled
 //! sequences are frozen: a seed identifies a simulation instance forever.
@@ -106,64 +106,6 @@ impl Sample for Exponential {
     }
 }
 
-/// Normal distribution, sampled with the Box–Muller transform.
-///
-/// Both variates of each transform are used (the spare is cached behind a
-/// `Cell`), so sampling costs one `ln`+`sqrt`+`sin/cos` pair per two draws.
-#[derive(Debug, Clone)]
-pub struct Normal {
-    mean: f64,
-    std_dev: f64,
-    spare: std::cell::Cell<Option<f64>>,
-}
-
-impl Normal {
-    /// Creates a normal distribution.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `std_dev` is non-negative and both parameters are finite.
-    pub fn new(mean: f64, std_dev: f64) -> Self {
-        assert!(
-            mean.is_finite() && std_dev.is_finite() && std_dev >= 0.0,
-            "invalid normal parameters ({mean}, {std_dev})"
-        );
-        Normal {
-            mean,
-            std_dev,
-            spare: std::cell::Cell::new(None),
-        }
-    }
-
-    /// Standard deviation.
-    pub fn std_dev(&self) -> f64 {
-        self.std_dev
-    }
-
-    /// Draws a standard-normal variate.
-    fn standard(&self, rng: &mut Xoshiro256pp) -> f64 {
-        if let Some(z) = self.spare.take() {
-            return z;
-        }
-        let u1 = rng.next_f64_open();
-        let u2 = rng.next_f64();
-        let r = (-2.0 * u1.ln()).sqrt();
-        let theta = std::f64::consts::TAU * u2;
-        self.spare.set(Some(r * theta.sin()));
-        r * theta.cos()
-    }
-}
-
-impl Sample for Normal {
-    fn sample(&self, rng: &mut Xoshiro256pp) -> f64 {
-        self.mean + self.std_dev * self.standard(rng)
-    }
-
-    fn mean(&self) -> f64 {
-        self.mean
-    }
-}
-
 /// Weibull distribution with shape `k` and scale `λ`.
 ///
 /// `k < 1` models infant-mortality failure behaviour observed on real HPC
@@ -238,45 +180,6 @@ impl Sample for Weibull {
 
     fn mean(&self) -> f64 {
         self.scale * gamma(1.0 + 1.0 / self.shape)
-    }
-}
-
-/// Log-normal distribution: `exp(N(µ, σ))`.
-///
-/// Offered for heavy-tailed job-duration experiments.
-#[derive(Debug, Clone)]
-pub struct LogNormal {
-    normal: Normal,
-}
-
-impl LogNormal {
-    /// Creates a log-normal from the parameters of the underlying normal.
-    pub fn new(mu: f64, sigma: f64) -> Self {
-        LogNormal {
-            normal: Normal::new(mu, sigma),
-        }
-    }
-
-    /// Creates a log-normal with the given **mean** and coefficient of
-    /// variation `cv = std/mean` of the log-normal itself.
-    pub fn from_mean_cv(mean: f64, cv: f64) -> Self {
-        assert!(
-            mean.is_finite() && mean > 0.0 && cv.is_finite() && cv >= 0.0,
-            "invalid log-normal moments (mean={mean}, cv={cv})"
-        );
-        let sigma2 = (1.0 + cv * cv).ln();
-        let mu = mean.ln() - 0.5 * sigma2;
-        LogNormal::new(mu, sigma2.sqrt())
-    }
-}
-
-impl Sample for LogNormal {
-    fn sample(&self, rng: &mut Xoshiro256pp) -> f64 {
-        self.normal.sample(rng).exp()
-    }
-
-    fn mean(&self) -> f64 {
-        (self.normal.mean() + 0.5 * self.normal.std_dev() * self.normal.std_dev()).exp()
     }
 }
 
@@ -374,22 +277,6 @@ mod tests {
     }
 
     #[test]
-    fn normal_moments() {
-        let d = Normal::new(10.0, 3.0);
-        assert!((sample_mean(&d, 7, 200_000) - 10.0).abs() < 0.05);
-        assert!((sample_var(&d, 8, 200_000) - 9.0).abs() < 0.2);
-    }
-
-    #[test]
-    fn normal_zero_std_is_constant() {
-        let d = Normal::new(5.0, 0.0);
-        let mut rng = Xoshiro256pp::seed_from_u64(9);
-        for _ in 0..100 {
-            assert_eq!(d.sample(&mut rng), 5.0);
-        }
-    }
-
-    #[test]
     fn weibull_shape_one_is_exponential() {
         let w = Weibull::new(1.0, 100.0);
         assert!((w.mean() - 100.0).abs() < 1e-9);
@@ -415,13 +302,6 @@ mod tests {
         }
         assert!(Weibull::try_from_mean(0.7, f64::INFINITY).is_err());
         assert!(Weibull::try_from_mean(f64::NAN, 3600.0).is_err());
-    }
-
-    #[test]
-    fn lognormal_mean_matches_target() {
-        let d = LogNormal::from_mean_cv(20.0, 0.5);
-        assert!((d.mean() - 20.0).abs() < 1e-9);
-        assert!((sample_mean(&d, 12, 400_000) - 20.0).abs() < 0.25);
     }
 
     #[test]

@@ -11,10 +11,10 @@
 //! requirement for a simulation study: every Monte-Carlo instance is
 //! identified by a seed, and the same seed must replay the same execution
 //! forever. We therefore implement [`rng::Xoshiro256pp`] (a small, fast,
-//! well-studied generator with a frozen algorithm) and inverse-transform /
-//! Box–Muller samplers in [`dist`], instead of depending on `StdRng`
-//! (documented as non-portable across `rand` versions) or `rand_distr`
-//! (outside the allowed dependency set).
+//! well-studied generator with a frozen algorithm) and inverse-transform
+//! samplers in [`dist`], instead of depending on `StdRng` (documented as
+//! non-portable across `rand` versions) or `rand_distr` (outside the
+//! allowed dependency set).
 //!
 //! # Example
 //!
@@ -39,6 +39,6 @@ pub mod rng;
 pub mod trace;
 
 pub use classes::{is_system_only, system_only, validate_classes, FailureClass};
-pub use dist::{Exponential, LogNormal, Normal, Sample, Uniform, Weibull};
+pub use dist::{Exponential, Sample, Uniform, Weibull};
 pub use rng::Xoshiro256pp;
 pub use trace::{FailureEvent, FailureTrace};

@@ -4,13 +4,6 @@
 //! reference implementation at <https://prng.di.unimi.it/>. Seeding uses
 //! SplitMix64 as the authors recommend, so a single `u64` seed expands to a
 //! full 256-bit state with no zero-state risk.
-//!
-//! The generator implements the infallible `rand` core trait (`TryRng`
-//! with `Error = Infallible`), so the whole `rand` adapter
-//! surface (ranges, shuffles) remains available while the byte stream stays
-//! bit-identical across platforms and `rand` releases.
-
-use rand::rand_core::{Infallible, TryRng};
 
 /// SplitMix64 step (Vigna). Used for seed expansion and nothing else.
 #[inline]
@@ -158,35 +151,6 @@ impl Xoshiro256pp {
     }
 }
 
-// Implementing the infallible `TryRng` gives us `rand_core::Rng` (and the
-// user-facing `rand::RngExt`) through rand's blanket impls.
-impl TryRng for Xoshiro256pp {
-    type Error = Infallible;
-
-    #[inline]
-    fn try_next_u32(&mut self) -> Result<u32, Infallible> {
-        Ok((self.next_raw() >> 32) as u32)
-    }
-
-    #[inline]
-    fn try_next_u64(&mut self) -> Result<u64, Infallible> {
-        Ok(self.next_raw())
-    }
-
-    fn try_fill_bytes(&mut self, dest: &mut [u8]) -> Result<(), Infallible> {
-        let mut chunks = dest.chunks_exact_mut(8);
-        for chunk in &mut chunks {
-            chunk.copy_from_slice(&self.next_raw().to_le_bytes());
-        }
-        let rem = chunks.into_remainder();
-        if !rem.is_empty() {
-            let bytes = self.next_raw().to_le_bytes();
-            rem.copy_from_slice(&bytes[..rem.len()]);
-        }
-        Ok(())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -311,33 +275,8 @@ mod tests {
     }
 
     #[test]
-    fn fill_bytes_handles_all_lengths() {
-        use rand::rand_core::Rng as _;
-        for len in 0..=17 {
-            let mut rng = Xoshiro256pp::seed_from_u64(3);
-            let mut buf = vec![0u8; len];
-            rng.fill_bytes(&mut buf);
-            if len >= 8 {
-                // First 8 bytes must be the first raw output, little-endian.
-                let mut rng2 = Xoshiro256pp::seed_from_u64(3);
-                assert_eq!(&buf[..8], &rng2.next_raw().to_le_bytes());
-            }
-        }
-    }
-
-    #[test]
     #[should_panic(expected = "non-zero")]
     fn zero_state_rejected() {
         Xoshiro256pp::from_state([0; 4]);
-    }
-
-    #[test]
-    fn rngcore_integration_with_rand() {
-        use rand::RngExt;
-        let mut rng = Xoshiro256pp::seed_from_u64(21);
-        let x: f64 = rng.random_range(0.0..1.0);
-        assert!((0.0..1.0).contains(&x));
-        let y: u32 = rng.random_range(0..10);
-        assert!(y < 10);
     }
 }

@@ -155,11 +155,6 @@ impl<M> Pfs<M> {
         self.clock
     }
 
-    /// Number of in-flight transfers.
-    pub fn active_count(&self) -> usize {
-        self.active.len()
-    }
-
     /// True when no transfer is in flight.
     pub fn is_idle(&self) -> bool {
         self.active.is_empty()

@@ -2,19 +2,17 @@
 //!
 //! * [`young_daly_period`] — the first-order optimum `P = √(2 µ C)` used
 //!   throughout the paper (their `P_Daly`).
-//! * [`daly_period_high_order`] — Daly's 2006 higher-order refinement,
-//!   provided as an extension for ablation studies.
 //! * [`steady_state_waste`] — Eq. (3): the fraction of a job's node-time
 //!   lost to resilience when checkpointing with period `P`.
-//! * [`per_level_commit_costs`] / [`per_level_daly_periods`] — the
-//!   multi-level extension (paper Section 8): per-tier commit costs of a
-//!   storage hierarchy and the corresponding per-level Young/Daly periods.
-//! * [`daly_period_energy`] / [`per_level_daly_periods_energy`] /
-//!   [`steady_state_energy_waste`] — the time-vs-energy trade-off of Aupy,
-//!   Benoit, Hérault, Robert, Dongarra (*Optimal Checkpointing Period:
-//!   Time vs. Energy*): when the platform draws different power while
-//!   checkpointing than while (re-)computing, the energy-optimal period
-//!   stretches the Young/Daly period by `√(ρ_ckpt / ρ_comp)`.
+//! * [`class_restore_costs`] / [`steady_state_waste_mix`] — the
+//!   multi-level extension (paper Section 8): per-class restore costs on a
+//!   storage hierarchy and Eq. (3) under their failure-class mix.
+//! * [`daly_period_energy`] / [`steady_state_energy_waste`] — the
+//!   time-vs-energy trade-off of Aupy, Benoit, Hérault, Robert, Dongarra
+//!   (*Optimal Checkpointing Period: Time vs. Energy*): when the platform
+//!   draws different power while checkpointing than while (re-)computing,
+//!   the energy-optimal period stretches the Young/Daly period by
+//!   `√(ρ_ckpt / ρ_comp)`.
 
 use crate::units::{Bandwidth, Bytes};
 use coopckpt_des::Duration;
@@ -38,33 +36,6 @@ pub fn young_daly_period(c: Duration, mtbf: Duration) -> Duration {
         "MTBF must be positive, got {mtbf}"
     );
     Duration::from_secs((2.0 * mtbf.as_secs() * c.as_secs()).sqrt())
-}
-
-/// Daly's higher-order estimate of the optimum checkpoint interval
-/// (J. T. Daly, FGCS 22(3), 2006).
-///
-/// For `C < 2µ`:
-/// `P = √(2Cµ) · [1 + ⅓·√(C/(2µ)) + (1/9)·(C/(2µ))] − C`,
-/// otherwise `P = µ`. The returned value is the *compute* segment between
-/// checkpoints; the paper's simulator uses the first-order form, this one is
-/// exposed for the ablation benches.
-pub fn daly_period_high_order(c: Duration, mtbf: Duration) -> Duration {
-    assert!(
-        c.is_finite() && c.is_positive(),
-        "checkpoint cost must be positive, got {c}"
-    );
-    assert!(
-        mtbf.is_finite() && mtbf.is_positive(),
-        "MTBF must be positive, got {mtbf}"
-    );
-    let c = c.as_secs();
-    let mu = mtbf.as_secs();
-    if c >= 2.0 * mu {
-        return Duration::from_secs(mu);
-    }
-    let x = c / (2.0 * mu);
-    let base = (2.0 * c * mu).sqrt();
-    Duration::from_secs(base * (1.0 + x.sqrt() / 3.0 + x / 9.0) - c)
 }
 
 /// Steady-state waste of a job checkpointing with period `p` (paper Eq. (3)):
@@ -127,49 +98,6 @@ pub fn daly_period_energy(c: Duration, mtbf: Duration, ckpt_w: f64, compute_w: f
     Duration::from_secs(daly.as_secs() * (ckpt_w / compute_w).sqrt())
 }
 
-/// The usage-based optimal checkpoint quantum (Graziani, Lusch & Messer):
-/// the amount of *usage* — consumed node-seconds — between checkpoints
-/// that minimizes expected waste platform-wide,
-///
-/// `U* = √(2 · M_u · C_u)`
-///
-/// where `M_u` is the platform's mean usage between failures in
-/// node-seconds (a platform of `N` nodes accrues usage at rate `N` and
-/// fails every `µ_node / N` seconds, so `M_u = µ_node` — the *per-node*
-/// MTBF, independent of platform size) and `C_u` is the checkpoint cost
-/// in node-seconds (`q · C` for a `q`-node job writing for `C` seconds).
-///
-/// The point of pacing in usage instead of wall-clock is operational: a
-/// shared platform can publish **one** quantum (e.g. "checkpoint every
-/// 10k node-hours") and every job converts it to its own wall cadence
-/// `U* / q` — see [`daly_usage_period`].
-///
-/// ```
-/// use coopckpt_des::Duration;
-/// use coopckpt_model::daly_usage_quantum;
-///
-/// // 1-year node MTBF, a checkpoint costing 51_200 node-seconds
-/// // (256 nodes x 200 s): U* = sqrt(2 * 31_536_000 * 51_200).
-/// let u = daly_usage_quantum(Duration::from_years(1.0), 51_200.0);
-/// assert!((u - (2.0f64 * 31_536_000.0 * 51_200.0).sqrt()).abs() < 1e-6);
-/// ```
-///
-/// # Panics
-///
-/// Panics when the node MTBF or the usage cost is not strictly positive
-/// and finite.
-pub fn daly_usage_quantum(node_mtbf: Duration, usage_cost_node_secs: f64) -> f64 {
-    assert!(
-        node_mtbf.is_finite() && node_mtbf.is_positive(),
-        "node MTBF must be positive, got {node_mtbf}"
-    );
-    assert!(
-        usage_cost_node_secs.is_finite() && usage_cost_node_secs > 0.0,
-        "usage cost must be positive node-seconds, got {usage_cost_node_secs}"
-    );
-    (2.0 * node_mtbf.as_secs() * usage_cost_node_secs).sqrt()
-}
-
 /// The wall-clock checkpoint period of a job pacing in *usage*
 /// (node-hours) under a platform-wide quantum (Graziani, Lusch &
 /// Messer): the platform publishes one usage quantum derived from a
@@ -227,59 +155,6 @@ pub fn daly_usage_period(
     Duration::from_secs(daly.as_secs() * (ref_usage_cost / job_usage_cost).sqrt())
 }
 
-/// Per-level *energy*-optimal periods for a multi-level checkpoint
-/// hierarchy: `P_ℓ = √(2 µ_ℓ C_ℓ · ρ_ℓ / ρ_comp)`, the energy twin of
-/// [`per_level_daly_periods`].
-///
-/// `ckpt_ws[ℓ]` is the draw while writing a level-`ℓ` checkpoint (shallow
-/// node-local tiers stream to nearby NVRAM at low draw; deep tiers push
-/// bytes across the fabric at high draw), `compute_w` the draw during
-/// computation.
-///
-/// ```
-/// use coopckpt_des::Duration;
-/// use coopckpt_model::per_level_daly_periods_energy;
-///
-/// let costs = [Duration::from_secs(20.0), Duration::from_secs(250.0)];
-/// let mtbfs = [Duration::from_hours(6.0), Duration::from_hours(60.0)];
-/// // Cheap local writes, expensive remote ones, 200 W compute draw.
-/// let periods = per_level_daly_periods_energy(&costs, &mtbfs, &[100.0, 450.0], 200.0);
-/// // The local tier checkpoints more often than time-optimal, the deep
-/// // tier less often.
-/// assert!(periods[1] > periods[0]);
-/// ```
-///
-/// # Panics
-///
-/// Panics when the slices differ in length or any entry is non-positive.
-pub fn per_level_daly_periods_energy(
-    costs: &[Duration],
-    level_mtbfs: &[Duration],
-    ckpt_ws: &[f64],
-    compute_w: f64,
-) -> Vec<Duration> {
-    assert_eq!(
-        costs.len(),
-        ckpt_ws.len(),
-        "one checkpoint draw per hierarchy level required ({} costs, {} draws)",
-        costs.len(),
-        ckpt_ws.len()
-    );
-    assert_eq!(
-        costs.len(),
-        level_mtbfs.len(),
-        "one MTBF per hierarchy level required ({} costs, {} MTBFs)",
-        costs.len(),
-        level_mtbfs.len()
-    );
-    costs
-        .iter()
-        .zip(level_mtbfs)
-        .zip(ckpt_ws)
-        .map(|((&c, &mtbf), &w)| daly_period_energy(c, mtbf, w, compute_w))
-        .collect()
-}
-
 /// Steady-state *energy* waste of a job checkpointing with period `p`, per
 /// unit of useful compute energy — the energy twin of
 /// [`steady_state_waste`] (Aupy et al.):
@@ -312,53 +187,6 @@ pub fn steady_state_energy_waste(
     let waste_power = c.as_secs() / p.as_secs() * ckpt_w
         + (p.as_secs() / 2.0 * compute_w + r.as_secs() * recovery_w) / mtbf.as_secs();
     waste_power / compute_w
-}
-
-/// The commit cost of a `volume`-byte checkpoint at every level of a
-/// storage hierarchy, shallow to deep: `C_ℓ = volume / bw_ℓ`.
-///
-/// `write_bws[ℓ]` is the effective write bandwidth the job sees into level
-/// `ℓ` (for node-local tiers, pass the per-node bandwidth already
-/// multiplied by the job's node count). The last entry is conventionally
-/// the PFS itself, so the returned slice covers the full spectrum from
-/// "absorb into the fastest tier" to "commit straight to the file system".
-///
-/// ```
-/// use coopckpt_model::{per_level_commit_costs, Bandwidth, Bytes};
-///
-/// // 10 TB checkpoint; node-local at 500 GB/s, burst buffer at 200 GB/s,
-/// // PFS at 40 GB/s.
-/// let costs = per_level_commit_costs(
-///     Bytes::from_tb(10.0),
-///     &[
-///         Bandwidth::from_gbps(500.0),
-///         Bandwidth::from_gbps(200.0),
-///         Bandwidth::from_gbps(40.0),
-///     ],
-/// );
-/// assert_eq!(costs.len(), 3);
-/// assert!((costs[0].as_secs() - 20.0).abs() < 1e-9);
-/// assert!((costs[2].as_secs() - 250.0).abs() < 1e-9);
-/// ```
-///
-/// # Panics
-///
-/// Panics when any bandwidth is non-positive or the volume is invalid.
-pub fn per_level_commit_costs(volume: Bytes, write_bws: &[Bandwidth]) -> Vec<Duration> {
-    assert!(
-        volume.is_valid() && !volume.is_zero(),
-        "checkpoint volume must be positive, got {volume}"
-    );
-    write_bws
-        .iter()
-        .map(|&bw| {
-            assert!(
-                bw.is_valid() && !bw.is_zero(),
-                "tier write bandwidth must be positive, got {bw}"
-            );
-            volume.transfer_time(bw)
-        })
-        .collect()
 }
 
 /// Expected restore cost under a failure-class mix: `E[R] = Σ_c p_c R_c`,
@@ -423,8 +251,8 @@ pub fn expected_restore_cost(shares: &[f64], restore_costs: &[Duration]) -> Dura
 /// PFS when `s_c` reaches past the deepest tier.
 ///
 /// `level_read_bws[ℓ]` is the effective read bandwidth of level `ℓ` as
-/// the job sees it (multiply per-node bandwidths by the job's node count,
-/// as for [`per_level_commit_costs`]).
+/// the job sees it (per-node bandwidths multiplied by the job's node
+/// count).
 ///
 /// ```
 /// use coopckpt_model::{class_restore_costs, Bandwidth, Bytes};
@@ -513,115 +341,6 @@ pub fn steady_state_waste_mix(
     steady_state_waste(c, r, p, mtbf)
 }
 
-/// The per-level failure MTBFs a class mix induces, feeding
-/// [`per_level_daly_periods`]: entry `ℓ < levels` is the MTBF of the
-/// failures a level-`ℓ` checkpoint specifically guards against — those of
-/// severity exactly `ℓ`, which wipe every shallower copy but leave level
-/// `ℓ` readable — and the final entry (index `levels`) covers the
-/// system-severity remainder that only the PFS survives.
-///
-/// Levels no class maps to get an infinite MTBF (nothing to guard
-/// against — filter those out before calling [`per_level_daly_periods`],
-/// which requires finite MTBFs).
-///
-/// ```
-/// use coopckpt_des::Duration;
-/// use coopckpt_model::level_guard_mtbfs;
-///
-/// let mu = Duration::from_hours(10.0);
-/// // 60 % severity-0, 10 % severity-1, 30 % system, on a 2-tier stack.
-/// let mtbfs = level_guard_mtbfs(mu, &[0.6, 0.1, 0.3], &[0, 1, usize::MAX], 2);
-/// assert_eq!(mtbfs.len(), 3);
-/// assert!((mtbfs[0].as_hours() - 10.0 / 0.6).abs() < 1e-9);
-/// assert!((mtbfs[1].as_hours() - 100.0).abs() < 1e-9);
-/// assert!((mtbfs[2].as_hours() - 10.0 / 0.3).abs() < 1e-9);
-/// ```
-///
-/// # Panics
-///
-/// Panics when the slices differ in length or `base_mtbf` is not
-/// positive.
-pub fn level_guard_mtbfs(
-    base_mtbf: Duration,
-    shares: &[f64],
-    severities: &[usize],
-    levels: usize,
-) -> Vec<Duration> {
-    assert_eq!(
-        shares.len(),
-        severities.len(),
-        "one severity per failure class required ({} shares, {} severities)",
-        shares.len(),
-        severities.len()
-    );
-    assert!(
-        base_mtbf.is_finite() && base_mtbf.is_positive(),
-        "MTBF must be positive, got {base_mtbf}"
-    );
-    (0..=levels)
-        .map(|level| {
-            let share: f64 = shares
-                .iter()
-                .zip(severities)
-                .filter(|(_, &s)| {
-                    if level == levels {
-                        s >= levels
-                    } else {
-                        s == level
-                    }
-                })
-                .map(|(&p, _)| p)
-                .sum();
-            if share > 0.0 {
-                Duration::from_secs(base_mtbf.as_secs() / share)
-            } else {
-                Duration::from_secs(f64::INFINITY)
-            }
-        })
-        .collect()
-}
-
-/// Per-level Young/Daly periods for a multi-level checkpoint hierarchy:
-/// `P_ℓ = √(2 µ_ℓ C_ℓ)` for each level `ℓ`.
-///
-/// In a multi-level scheme (à la FTI/VeloC), a level-`ℓ` checkpoint guards
-/// against the failure classes that only level `ℓ` (or deeper) survives, so
-/// `level_mtbfs[ℓ]` is the MTBF of *those* failures: fast shallow levels
-/// checkpoint often against frequent soft failures, while expensive deep
-/// levels run rarely against node loss. With a single failure class (this
-/// paper's model), pass the same job MTBF at every level and the deeper,
-/// costlier levels simply get longer periods.
-///
-/// ```
-/// use coopckpt_des::Duration;
-/// use coopckpt_model::per_level_daly_periods;
-///
-/// let costs = [Duration::from_secs(20.0), Duration::from_secs(250.0)];
-/// let mtbfs = [Duration::from_hours(6.0), Duration::from_hours(60.0)];
-/// let periods = per_level_daly_periods(&costs, &mtbfs);
-/// // Shallow tier: sqrt(2 * 21600 * 20) = 929.5 s; deep tier much longer.
-/// assert!((periods[0].as_secs() - 929.5).abs() < 0.1);
-/// assert!(periods[1] > periods[0]);
-/// ```
-///
-/// # Panics
-///
-/// Panics when the slices differ in length or any entry is non-positive.
-pub fn per_level_daly_periods(costs: &[Duration], level_mtbfs: &[Duration]) -> Vec<Duration> {
-    assert_eq!(
-        costs.len(),
-        level_mtbfs.len(),
-        "one MTBF per hierarchy level required ({} costs, {} MTBFs)",
-        costs.len(),
-        level_mtbfs.len()
-    );
-    costs
-        .iter()
-        .zip(level_mtbfs)
-        .map(|(&c, &mtbf)| young_daly_period(c, mtbf))
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -655,23 +374,6 @@ mod tests {
     }
 
     #[test]
-    fn high_order_close_to_first_order_when_c_small() {
-        let c = Duration::from_secs(10.0);
-        let mu = Duration::from_secs(1_000_000.0);
-        let p1 = young_daly_period(c, mu);
-        let p2 = daly_period_high_order(c, mu);
-        // Correction terms are O(sqrt(C/2µ)) ≈ 0.2 %; difference from the
-        // first-order period stays within 1 %.
-        assert!((p2.as_secs() - p1.as_secs()).abs() / p1.as_secs() < 0.01);
-    }
-
-    #[test]
-    fn high_order_saturates_at_mtbf() {
-        let p = daly_period_high_order(Duration::from_secs(500.0), Duration::from_secs(100.0));
-        assert_eq!(p.as_secs(), 100.0);
-    }
-
-    #[test]
     fn waste_minimized_at_daly_period() {
         let c = Duration::from_secs(300.0);
         let r = Duration::from_secs(300.0);
@@ -685,33 +387,6 @@ mod tests {
                 "waste at {factor}x period ({w}) should exceed optimum ({w_star})"
             );
         }
-    }
-
-    #[test]
-    fn per_level_costs_scale_inversely_with_bandwidth() {
-        let costs = per_level_commit_costs(
-            Bytes::from_tb(1.0),
-            &[Bandwidth::from_gbps(100.0), Bandwidth::from_gbps(25.0)],
-        );
-        assert!((costs[0].as_secs() - 10.0).abs() < 1e-9);
-        assert!((costs[1].as_secs() - 40.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn per_level_periods_follow_sqrt_of_cost() {
-        let mu = Duration::from_secs(1e6);
-        let periods = per_level_daly_periods(
-            &[Duration::from_secs(100.0), Duration::from_secs(400.0)],
-            &[mu, mu],
-        );
-        // 4x the cost -> 2x the period.
-        assert!((periods[1].as_secs() / periods[0].as_secs() - 2.0).abs() < 1e-12);
-    }
-
-    #[test]
-    #[should_panic(expected = "one MTBF per hierarchy level")]
-    fn per_level_periods_reject_mismatched_lengths() {
-        per_level_daly_periods(&[Duration::from_secs(1.0)], &[]);
     }
 
     #[test]
@@ -764,28 +439,6 @@ mod tests {
     }
 
     #[test]
-    fn per_level_energy_periods_scale_each_level() {
-        let mu = Duration::from_secs(1e6);
-        let costs = [Duration::from_secs(100.0), Duration::from_secs(100.0)];
-        let periods = per_level_daly_periods_energy(&costs, &[mu, mu], &[100.0, 400.0], 100.0);
-        // 4x the draw at equal cost -> 2x the period.
-        assert!((periods[1].as_secs() / periods[0].as_secs() - 2.0).abs() < 1e-12);
-        // And the zero-differential level matches the plain Daly period.
-        assert_eq!(periods[0], young_daly_period(costs[0], mu));
-    }
-
-    #[test]
-    #[should_panic(expected = "one checkpoint draw per hierarchy level")]
-    fn per_level_energy_periods_reject_mismatched_draws() {
-        per_level_daly_periods_energy(
-            &[Duration::from_secs(1.0)],
-            &[Duration::from_secs(1e6)],
-            &[],
-            100.0,
-        );
-    }
-
-    #[test]
     #[should_panic(expected = "checkpoint-phase draw must be positive")]
     fn energy_period_rejects_zero_draw() {
         daly_period_energy(
@@ -826,15 +479,9 @@ mod tests {
             ref_cu,
         );
         assert!((q_small * p_small.as_secs() - q_big * p_big.as_secs()).abs() < 1e-6);
-        // And both convert the same quantum.
-        let u = daly_usage_quantum(mu_node, ref_cu);
+        // And both convert the same quantum, U* = sqrt(2 µ_node C_u).
+        let u = (2.0 * mu_node.as_secs() * ref_cu).sqrt();
         assert!((q_small * p_small.as_secs() - u).abs() < 1e-6);
-    }
-
-    #[test]
-    #[should_panic(expected = "usage cost must be positive")]
-    fn usage_quantum_rejects_zero_cost() {
-        daly_usage_quantum(Duration::from_years(1.0), 0.0);
     }
 
     #[test]
@@ -894,24 +541,6 @@ mod tests {
             assert!(w < last, "waste must fall with the local share");
             last = w;
         }
-    }
-
-    #[test]
-    fn level_guard_mtbfs_partition_the_rate() {
-        let mu = Duration::from_secs(1000.0);
-        let mtbfs = level_guard_mtbfs(mu, &[0.5, 0.2, 0.3], &[0, 1, usize::MAX], 2);
-        // Rates (1/MTBF) of the guarded groups sum back to the total.
-        let rate: f64 = mtbfs.iter().map(|m| 1.0 / m.as_secs()).sum();
-        assert!((rate - 1.0 / 1000.0).abs() < 1e-12);
-        // Unguarded levels get an infinite MTBF.
-        let sparse = level_guard_mtbfs(mu, &[1.0], &[usize::MAX], 2);
-        assert!(!sparse[0].is_finite() && !sparse[1].is_finite());
-        assert!((sparse[2].as_secs() - 1000.0).abs() < 1e-12);
-        // The finite entries feed per_level_daly_periods directly.
-        let finite: Vec<Duration> = mtbfs.iter().copied().filter(|m| m.is_finite()).collect();
-        let costs = vec![Duration::from_secs(10.0); finite.len()];
-        let periods = per_level_daly_periods(&costs, &finite);
-        assert_eq!(periods.len(), 3);
     }
 
     #[test]

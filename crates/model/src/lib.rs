@@ -12,8 +12,9 @@
 //!   `A_i = (n_i, q_i, P_i, C_i, R_i)` tuples plus the I/O volumes from the
 //!   APEX workflow report; [`JobSpec`] is one instance of a class with its
 //!   own jittered work duration.
-//! * **Checkpoint mathematics** — the Young/Daly first-order period, Daly's
-//!   higher-order refinement, and the per-job waste function of Eq. (3).
+//! * **Checkpoint mathematics** — the Young/Daly first-order period and
+//!   the per-job waste function of Eq. (3), with their failure-class,
+//!   energy and usage-paced variants.
 //!
 //! The model follows Section 2 of Hérault et al., *Optimal Cooperative
 //! Checkpointing for Shared High-Performance Computing Platforms* (IPDPS
@@ -26,10 +27,8 @@ pub mod units;
 
 pub use app::{AppClass, ClassId, JobId, JobSpec};
 pub use ckpt::{
-    class_restore_costs, daly_period_energy, daly_period_high_order, daly_usage_period,
-    daly_usage_quantum, expected_restore_cost, level_guard_mtbfs, per_level_commit_costs,
-    per_level_daly_periods, per_level_daly_periods_energy, steady_state_energy_waste,
-    steady_state_waste, steady_state_waste_mix, young_daly_period,
+    class_restore_costs, daly_period_energy, daly_usage_period, expected_restore_cost,
+    steady_state_energy_waste, steady_state_waste, steady_state_waste_mix, young_daly_period,
 };
 pub use coopckpt_des::{Duration, Time};
 pub use platform::{Platform, PlatformError};

@@ -130,11 +130,6 @@ impl<J> Scheduler<J> {
     pub fn occupant(&self, node: usize) -> Option<AllocId> {
         self.pool.occupant(node)
     }
-
-    /// Iterates pending jobs in fit-pass order as `(priority, q_nodes)`.
-    pub fn pending_iter(&self) -> impl Iterator<Item = (i64, usize)> + '_ {
-        self.pending.iter().map(|p| (p.priority, p.q_nodes))
-    }
 }
 
 impl<J> std::fmt::Debug for Scheduler<J> {

@@ -69,13 +69,6 @@ impl WorkloadSpec {
         self
     }
 
-    /// Overrides the jitter interval.
-    pub fn with_jitter(mut self, lo: f64, hi: f64) -> Self {
-        assert!(0.0 < lo && lo <= hi, "invalid jitter [{lo}, {hi}]");
-        self.jitter = (lo, hi);
-        self
-    }
-
     /// Checks that [`generate`](Self::generate) finishes within its
     /// draft limit (one million jobs) on `platform`.
     ///

@@ -106,11 +106,6 @@ fn zero_power_differential_recovers_the_time_domain() {
         daly_period_energy(c, mu, 220.0, 220.0),
         young_daly_period(c, mu)
     );
-    assert_eq!(PowerModel::uniform(220.0).energy_period_factor(), 1.0);
-    assert_eq!(
-        PowerModel::uniform(220.0).energy_daly_period(c, mu),
-        young_daly_period(c, mu)
-    );
     // And the closed-form energy waste is the Eq. (3) time waste.
     let p = Duration::from_secs(2000.0);
     let w_t = coopckpt_model::steady_state_waste(c, c, p, mu);
