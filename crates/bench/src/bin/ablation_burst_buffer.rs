@@ -16,7 +16,7 @@
 //! ```
 
 use coopckpt::prelude::*;
-use coopckpt_bench::{banner, cielo_scenario, emit_report, BenchScale};
+use coopckpt_bench::{banner, cielo_scenario, emit_report, or_exit, BenchScale};
 
 fn main() {
     let scale = BenchScale::from_env();
@@ -63,7 +63,7 @@ fn main() {
         for (_, tiers) in &variants {
             let mut sc = base.clone().with_strategy(strategy);
             sc.tiers = tiers.clone();
-            let config = sc.into_config().expect("bench scenario is valid");
+            let config = or_exit(sc.into_config());
             cells.push(Cell::f4(run_many(&config, &sc.mc()).mean()));
         }
         table.row(cells);

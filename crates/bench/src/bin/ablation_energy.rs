@@ -24,7 +24,7 @@
 
 use coopckpt::experiments::run_scenario;
 use coopckpt::prelude::*;
-use coopckpt_bench::{banner, cielo_scenario, emit_report, sweep_mean, BenchScale};
+use coopckpt_bench::{banner, cielo_scenario, emit_report, or_exit, sweep_mean, BenchScale};
 use coopckpt_model::{daly_period_energy, young_daly_period};
 
 fn main() {
@@ -39,7 +39,7 @@ fn main() {
         .with_power(PowerModel::cielo());
     scenario.sweep =
         Some(Sweep::new("power-ratio", Some(vec![0.25, 0.5, 1.0, 2.0, 4.0])).expect("valid sweep"));
-    let report = run_scenario(&scenario).expect("bench scenario is valid");
+    let report = or_exit(run_scenario(&scenario));
     emit_report(&report);
 
     // The acceptance claim: at a fixed (time-optimal) period, pricier

@@ -16,7 +16,7 @@
 //! ```
 
 use coopckpt::prelude::*;
-use coopckpt_bench::{banner, cielo_scenario, emit_report, BenchScale};
+use coopckpt_bench::{banner, cielo_scenario, emit_report, or_exit, BenchScale};
 
 fn main() {
     let scale = BenchScale::from_env();
@@ -47,7 +47,7 @@ fn main() {
         let mut cells = vec![Cell::text(label.clone())];
         for strategy in [Strategy::oblivious(*policy), Strategy::ordered_nb(*policy)] {
             let sc = base.clone().with_strategy(strategy);
-            let config = sc.into_config().expect("bench scenario is valid");
+            let config = or_exit(sc.into_config());
             cells.push(Cell::f4(run_many(&config, &sc.mc()).mean()));
         }
         table.row(cells);

@@ -22,7 +22,7 @@
 
 use coopckpt::prelude::*;
 use coopckpt::sim::InterferenceKind;
-use coopckpt_bench::{banner, cielo_scenario, emit_report, BenchScale};
+use coopckpt_bench::{banner, cielo_scenario, emit_report, or_exit, BenchScale};
 
 fn main() {
     let scale = BenchScale::from_env();
@@ -55,7 +55,7 @@ fn main() {
                 .clone()
                 .with_strategy(strategy)
                 .with_interference(*kind);
-            let config = sc.into_config().expect("bench scenario is valid");
+            let config = or_exit(sc.into_config());
             cells.push(Cell::f4(run_many(&config, &sc.mc()).mean()));
         }
         table.row(cells);

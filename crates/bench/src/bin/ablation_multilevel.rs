@@ -25,7 +25,7 @@
 
 use coopckpt::experiments::run_scenario;
 use coopckpt::prelude::*;
-use coopckpt_bench::{banner, cielo_scenario, emit_report, sweep_mean, BenchScale};
+use coopckpt_bench::{banner, cielo_scenario, emit_report, or_exit, sweep_mean, BenchScale};
 
 fn main() {
     let scale = BenchScale::from_env();
@@ -37,7 +37,7 @@ fn main() {
     let mut scenario = cielo_scenario(40.0, &scale).with_name("ablation-multilevel");
     scenario.sweep =
         Some(Sweep::new("tiers", Some(vec![0.0, 1.0, 2.0, 3.0])).expect("valid sweep"));
-    let report = run_scenario(&scenario).expect("bench scenario is valid");
+    let report = or_exit(run_scenario(&scenario));
     emit_report(&report);
 
     // The acceptance claim: 3 tiers beat PFS-only for the blocking

@@ -25,7 +25,7 @@
 
 use coopckpt::experiments::run_scenario;
 use coopckpt::prelude::*;
-use coopckpt_bench::{banner, cielo_scenario, emit_report, sweep_mean, BenchScale};
+use coopckpt_bench::{banner, cielo_scenario, emit_report, or_exit, sweep_mean, BenchScale};
 use coopckpt_model::{
     class_restore_costs, expected_restore_cost, steady_state_waste_mix, young_daly_period,
 };
@@ -44,7 +44,7 @@ fn main() {
         Sweep::new("local-failure-share", Some(vec![0.0, 0.25, 0.5, 0.75, 0.9]))
             .expect("valid sweep"),
     );
-    let report = run_scenario(&scenario).expect("bench scenario is valid");
+    let report = or_exit(run_scenario(&scenario));
     emit_report(&report);
 
     // The acceptance claim: shifting failures from system severity to

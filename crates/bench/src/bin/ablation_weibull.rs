@@ -20,7 +20,7 @@
 
 use coopckpt::prelude::*;
 use coopckpt::sim::FailureModel;
-use coopckpt_bench::{banner, cielo_scenario, emit_report, BenchScale};
+use coopckpt_bench::{banner, cielo_scenario, emit_report, or_exit, BenchScale};
 
 fn main() {
     let scale = BenchScale::from_env();
@@ -48,7 +48,7 @@ fn main() {
         let mut cells = vec![Cell::text(strategy.name())];
         for law in &laws {
             let sc = base.clone().with_strategy(strategy).with_failures(*law);
-            let config = sc.into_config().expect("bench scenario is valid");
+            let config = or_exit(sc.into_config());
             cells.push(Cell::f4(run_many(&config, &sc.mc()).mean()));
         }
         table.row(cells);

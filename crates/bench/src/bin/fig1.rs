@@ -8,7 +8,7 @@
 
 use coopckpt::experiments::run_scenario;
 use coopckpt::prelude::*;
-use coopckpt_bench::{banner, emit, sweep_table, BenchScale};
+use coopckpt_bench::{banner, emit, or_exit, sweep_table, BenchScale};
 
 fn main() {
     let scale = BenchScale::from_env();
@@ -21,6 +21,6 @@ fn main() {
     let mut scenario = scale.apply(Scenario::default());
     let bandwidths = vec![40.0, 60.0, 80.0, 100.0, 120.0, 140.0, 160.0];
     scenario.sweep = Some(Sweep::new("bandwidth", Some(bandwidths)).expect("valid sweep"));
-    let report = run_scenario(&scenario).expect("bench scenario is valid");
+    let report = or_exit(run_scenario(&scenario));
     emit(&sweep_table("bandwidth_gbps", &report));
 }

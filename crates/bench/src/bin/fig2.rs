@@ -8,7 +8,7 @@
 
 use coopckpt::experiments::run_scenario;
 use coopckpt::prelude::*;
-use coopckpt_bench::{banner, cielo_scenario, emit, sweep_table, BenchScale};
+use coopckpt_bench::{banner, cielo_scenario, emit, or_exit, sweep_table, BenchScale};
 
 fn main() {
     let scale = BenchScale::from_env();
@@ -20,6 +20,6 @@ fn main() {
     let mut scenario = cielo_scenario(40.0, &scale);
     let mtbf_years = vec![2.0, 4.0, 7.0, 10.0, 20.0, 35.0, 50.0];
     scenario.sweep = Some(Sweep::new("mtbf", Some(mtbf_years)).expect("valid sweep"));
-    let report = run_scenario(&scenario).expect("bench scenario is valid");
+    let report = or_exit(run_scenario(&scenario));
     emit(&sweep_table("node_mtbf_years", &report));
 }

@@ -14,15 +14,12 @@
 
 use coopckpt::experiments::{min_bandwidth_for_efficiency, theory_min_bandwidth};
 use coopckpt::prelude::*;
-use coopckpt_bench::{banner, emit, BenchScale};
+use coopckpt_bench::{banner, bisect_iters, emit, env_var, or_exit, BenchScale};
 use coopckpt_stats::Table;
 
 fn main() {
     let scale = BenchScale::from_env();
-    let iters: u32 = std::env::var("COOPCKPT_BISECT_ITERS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(7);
+    let iters = or_exit(bisect_iters(env_var));
     banner(
         "Figure 3: min bandwidth for 80% efficiency vs node MTBF (prospective system)",
         &scale,
@@ -31,13 +28,18 @@ fn main() {
     let target = 0.80;
     let (lo, hi) = (200.0, 200_000.0); // GB/s search bracket
     let mtbf_years = [5.0, 10.0, 15.0, 20.0, 25.0];
+    let base = scale.apply(Scenario {
+        platform: PlatformSpec::Preset {
+            name: "prospective".to_string(),
+            bandwidth: None,
+            node_mtbf: None,
+        },
+        ..Scenario::default()
+    });
 
     let mut t = Table::new(["node_mtbf_years", "series", "min_bandwidth_tbps"]);
     for &years in &mtbf_years {
-        let platform = coopckpt_workload::prospective().with_node_mtbf(Duration::from_years(years));
-        let classes = coopckpt_workload::classes_for(&platform);
-        let template = SimConfig::new(platform.clone(), classes.clone(), Strategy::least_waste())
-            .with_span(scale.span);
+        let template = or_exit(base.clone().with_mtbf_years(years).into_config());
         for strategy in Strategy::all_seven() {
             let found = min_bandwidth_for_efficiency(
                 &template,
@@ -57,7 +59,7 @@ fn main() {
                 },
             ]);
         }
-        let theory = theory_min_bandwidth(&platform, &classes, target, lo, hi);
+        let theory = theory_min_bandwidth(&template.platform, &template.classes, target, lo, hi);
         t.row([
             format!("{years}"),
             "Theoretical Model".to_string(),

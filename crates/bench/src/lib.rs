@@ -1,23 +1,27 @@
 //! Shared scaffolding for the figure-reproduction binaries.
 //!
-//! Every binary honours three environment variables so the full suite can
+//! The binaries honour these environment variables so the full suite can
 //! be scaled from a quick smoke run to paper-scale statistics:
 //!
-//! | variable               | meaning                         | default |
-//! |------------------------|---------------------------------|---------|
-//! | `COOPCKPT_SAMPLES`     | Monte-Carlo instances per point | 100     |
-//! | `COOPCKPT_SPAN_DAYS`   | simulated span per instance     | 60      |
-//! | `COOPCKPT_THREADS`     | worker threads (0 = all cores)  | 0       |
+//! | variable                | meaning                            | default |
+//! |-------------------------|------------------------------------|---------|
+//! | `COOPCKPT_SAMPLES`      | Monte-Carlo instances per point    | 100     |
+//! | `COOPCKPT_SPAN_DAYS`    | simulated span per instance        | 60      |
+//! | `COOPCKPT_THREADS`      | worker threads (0 = all cores)     | 0       |
+//! | `COOPCKPT_BISECT_ITERS` | `fig3`'s bandwidth-bisection steps | 7       |
 //!
 //! A variable that is set must hold a usable value: a value that does not
-//! parse, zero samples, or a span that is not a positive finite number
-//! stops the binary with an error naming the variable (exit 1).
+//! parse, zero samples or bisection steps, or a span that is not a
+//! positive finite number stops the binary with an error naming the
+//! variable (exit 1). So does a scale the scenario reader rejects, such as
+//! a span the workload generator cannot fill.
 //!
 //! Results are printed as an aligned table and, when `--csv <path>` is
 //! passed, also written as CSV for plotting.
 
 use coopckpt::prelude::*;
 use coopckpt_stats::Table;
+use std::fmt;
 use std::str::FromStr;
 
 /// Run-scale knobs read from the environment.
@@ -34,14 +38,9 @@ pub struct BenchScale {
 impl BenchScale {
     /// Reads `COOPCKPT_SAMPLES` / `COOPCKPT_SPAN_DAYS` / `COOPCKPT_THREADS`
     /// (see [`from_lookup`](Self::from_lookup)). On a value it cannot use
-    /// it prints the error and exits 1, as the CLI does for a bad flag
-    /// value.
+    /// it exits through [`or_exit`].
     pub fn from_env() -> Self {
-        let lookup = |var: &str| std::env::var_os(var).map(|v| v.to_string_lossy().into_owned());
-        Self::from_lookup(lookup).unwrap_or_else(|e| {
-            eprintln!("error: {e}");
-            std::process::exit(1)
-        })
+        or_exit(Self::from_lookup(env_var))
     }
 
     /// Reads the scale through `lookup`, which gives a variable's value or
@@ -92,15 +91,33 @@ impl BenchScale {
 /// the Cielo preset at the given bandwidth (scarce 40 GB/s in most
 /// ablations), 2-year node MTBF, APEX workload, at this scale.
 pub fn cielo_scenario(bandwidth_gbps: f64, scale: &BenchScale) -> Scenario {
-    let sc = Scenario {
-        platform: PlatformSpec::Preset {
-            name: "cielo".to_string(),
-            bandwidth: Some(Bandwidth::from_gbps(bandwidth_gbps)),
-            node_mtbf: None,
-        },
-        ..Scenario::default()
-    };
-    scale.apply(sc)
+    scale.apply(Scenario::default().with_bandwidth_gbps(bandwidth_gbps))
+}
+
+/// `fig3`'s bandwidth-bisection steps, `COOPCKPT_BISECT_ITERS` through
+/// `lookup`: 7 when unset, else a positive whole number.
+pub fn bisect_iters(lookup: impl Fn(&str) -> Option<String>) -> Result<u32, String> {
+    scale_var(
+        lookup,
+        "COOPCKPT_BISECT_ITERS",
+        7,
+        "a positive whole number",
+        |&n| n > 0,
+    )
+}
+
+/// A process environment variable's value, `None` when unset.
+pub fn env_var(var: &str) -> Option<String> {
+    std::env::var_os(var).map(|v| v.to_string_lossy().into_owned())
+}
+
+/// `result`'s value; on an error, prints `error: <e>` and exits 1, as the
+/// CLI does for a bad flag value.
+pub fn or_exit<T, E: fmt::Display>(result: Result<T, E>) -> T {
+    result.unwrap_or_else(|e| {
+        eprintln!("error: {e}");
+        std::process::exit(1)
+    })
 }
 
 /// `var`'s value through `lookup`: `default` when unset, else the value
@@ -281,6 +298,20 @@ mod tests {
             assert!(
                 e.starts_with(&format!("bad {var} '{value}': expected ")),
                 "{e}"
+            );
+        }
+    }
+
+    #[test]
+    fn bisect_iters_default_to_seven_and_must_be_positive() {
+        assert_eq!(bisect_iters(lookup(&[])), Ok(7));
+        let set = [("COOPCKPT_BISECT_ITERS", "3")];
+        assert_eq!(bisect_iters(lookup(&set)), Ok(3));
+        for value in ["abc", "0", "-1", "2.5", ""] {
+            let e = bisect_iters(lookup(&[("COOPCKPT_BISECT_ITERS", value)])).unwrap_err();
+            assert_eq!(
+                e,
+                format!("bad COOPCKPT_BISECT_ITERS '{value}': expected a positive whole number")
             );
         }
     }
