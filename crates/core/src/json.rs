@@ -26,7 +26,7 @@
 //! assert_eq!(Json::parse(&text).unwrap(), v);
 //! ```
 
-use std::fmt;
+use std::fmt::{self, Write as _};
 
 /// A JSON value.
 #[derive(Debug, Clone, PartialEq)]
@@ -205,7 +205,7 @@ impl Json {
             Json::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
             Json::Num(n) => {
                 assert!(n.is_finite(), "JSON cannot represent {n}");
-                out.push_str(&format!("{n}"));
+                write!(out, "{n}").expect("writing to a String cannot fail");
             }
             Json::Str(s) => write_string(out, s),
             Json::Arr(items) => {
@@ -244,11 +244,23 @@ impl fmt::Display for Json {
 }
 
 fn indent(out: &mut String, depth: usize) {
-    out.extend(std::iter::repeat_n(' ', 2 * depth));
+    const SPACES: &str = "                                ";
+    let mut n = 2 * depth;
+    while n > 0 {
+        let k = n.min(SPACES.len());
+        out.push_str(&SPACES[..k]);
+        n -= k;
+    }
 }
 
 fn write_string(out: &mut String, s: &str) {
     out.push('"');
+    // Most keys and labels need no escape: copy them in one go.
+    if !s.bytes().any(|b| b == b'"' || b == b'\\' || b < 0x20) {
+        out.push_str(s);
+        out.push('"');
+        return;
+    }
     for c in s.chars() {
         match c {
             '"' => out.push_str("\\\""),
@@ -256,7 +268,9 @@ fn write_string(out: &mut String, s: &str) {
             '\n' => out.push_str("\\n"),
             '\r' => out.push_str("\\r"),
             '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
+            c if (c as u32) < 0x20 => {
+                write!(out, "\\u{:04x}", c as u32).expect("writing to a String cannot fail")
+            }
             c => out.push(c),
         }
     }
@@ -695,6 +709,31 @@ mod tests {
         assert!(e.message.contains("depth"), "{e}");
         let evil_objs = "{\"a\":".repeat(100_000);
         assert!(Json::parse(&evil_objs).is_err());
+    }
+
+    #[test]
+    fn writers_emit_the_pinned_bytes() {
+        let v = Json::obj([
+            ("plain", Json::str("Least-Waste ≥ 0.5")),
+            ("escaped", Json::str("a\"b\\c\nd\r\te\u{1}")),
+            (
+                "nums",
+                Json::Arr([-0.0, 1e21, 1e-7, 0.1, 40.0].map(Json::Num).to_vec()),
+            ),
+        ]);
+        assert_eq!(
+            v.to_string(),
+            r#"{"plain":"Least-Waste ≥ 0.5","escaped":"a\"b\\c\nd\r\te\u0001","nums":[-0,1000000000000000000000,0.0000001,0.1,40]}"#
+        );
+        // Indentation deeper than the writer's slice of spaces.
+        let mut deep = Json::Num(1.0);
+        for _ in 0..20 {
+            deep = Json::Arr(vec![deep]);
+        }
+        let pretty = deep.pretty();
+        assert_eq!(pretty.lines().count(), 41);
+        assert!(pretty.contains(&format!("\n{}1\n", " ".repeat(40))));
+        assert!(pretty.ends_with("\n  ]\n]\n"));
     }
 
     #[test]

@@ -16,12 +16,17 @@
 //! suites and sweeps alike. Without an ambient pool (a plain `run`), a
 //! transient standalone pool of `mc.threads` threads runs the batch.
 
-use crate::scenario::Scenario;
-use crate::sim::{run_simulation, SimConfig, SimResult};
+use crate::sim::{
+    run_simulation, FailureClass, FailureModel, InterferenceKind, PowerModel, SimConfig, SimResult,
+    TierSpec,
+};
+use crate::strategy::{CheckpointPolicy, Strategy};
+use coopckpt_model::{AppClass, Platform};
 use coopckpt_stats::Samples;
 use std::any::Any;
 use std::cell::RefCell;
 use std::collections::HashMap;
+use std::hash::{DefaultHasher, Hash, Hasher};
 use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, OnceLock, PoisonError};
@@ -33,8 +38,8 @@ pub struct MonteCarloConfig {
     pub samples: usize,
     /// First seed. Instance seeds advance with **wrapping** arithmetic,
     /// so a base near `u64::MAX` walks around zero instead of panicking
-    /// ([`Scenario`] parsing rejects such combinations up front; direct
-    /// library users get the wrap).
+    /// ([`Scenario`](crate::scenario::Scenario) parsing rejects such
+    /// combinations up front; direct library users get the wrap).
     pub base_seed: u64,
     /// Worker threads; 0 = one per available core. Ignored when an
     /// ambient campaign pool owns the machine (see [`set_ambient_pool`]).
@@ -281,35 +286,45 @@ pub fn run_all(config: &SimConfig, mc: &MonteCarloConfig) -> Vec<SimResult> {
     run_map(config, mc, |r| r)
 }
 
-/// A memoizing front end to [`run_all`]: one entry per *operating point*
-/// (the canonical scenario JSON of the config plus the sample count and
-/// base seed), shared behind an `Arc` so repeated evaluations of the same
-/// point — different assertions in a test binary, different campaign
-/// scenarios that happen to coincide — pay for one set of simulated
-/// instances.
+/// A cache slot: filled once, then shared by every caller of the point.
+type OpPointSlot = Arc<OnceLock<Arc<Vec<SimResult>>>>;
+
+/// A memoizing front end to [`run_all`]: one entry per *operating point*,
+/// shared behind an `Arc` so repeated evaluations of the same point —
+/// different assertions in a test binary, different campaign scenarios
+/// that happen to coincide — pay for one set of simulated instances.
 ///
 /// This is the library promotion of the test suites' ad-hoc
-/// `steady_mean_waste` memoization. Keying on the canonical
-/// [`Scenario::from_config`] serialization means any two configs that
-/// would produce identical instances share an entry, and any field that
-/// changes results (seed, span, strategy, failure mix, ...) changes the
-/// key. The Monte-Carlo `threads` knob is documented not to affect
-/// results and is deliberately *not* part of the key.
+/// `steady_mean_waste` memoization. An entry is keyed on a 128-bit digest
+/// of every field [`Scenario::from_config`](crate::scenario::Scenario::from_config)
+/// writes, plus the sample count and base seed: the platform, the
+/// classes (or, for a trace workload, its spec string instead of the
+/// shape table its scan produced), strategy, span and margin,
+/// interference, failure model and classes, tiers, chunking, slack and
+/// power. Floats enter by bit pattern, so two configs share an entry
+/// exactly when their canonical scenario texts agree. The Monte-Carlo
+/// `threads` knob is documented not to affect results and is
+/// deliberately *not* part of the key.
+///
+/// The digest is two lanes of std's `DefaultHasher` over the same field
+/// stream. It lives only in memory, so it does not matter that std
+/// leaves the algorithm unspecified across releases (the on-disk
+/// [`ResultCache`](crate::campaign::ResultCache) has its own key). A
+/// non-finite field the scenario writer would reject panics while the
+/// key is built, before any lock is taken.
 ///
 /// Fills are serialized **per key** (concurrent callers of the same point
-/// block on one computation; distinct points proceed in parallel), so a
-/// campaign runner sharding scenarios across threads is never funneled
-/// through a global lock.
+/// block on one computation; distinct points proceed in parallel), and
+/// the map lock is held only to find or insert a slot, so a campaign
+/// runner sharding scenarios across threads is never funneled through a
+/// global lock.
 ///
 /// Trace-recording configs bypass the cache entirely: `record_trace` is a
 /// run-mode flag outside the scenario spec, and cached entries must stay
 /// trace-free.
-/// A cache slot: filled once, then shared by every caller of the point.
-type OpPointSlot = Arc<OnceLock<Arc<Vec<SimResult>>>>;
-
 #[derive(Default)]
 pub struct OpPointCache {
-    map: Mutex<HashMap<String, OpPointSlot>>,
+    map: Mutex<HashMap<u128, OpPointSlot>>,
 }
 
 impl OpPointCache {
@@ -336,14 +351,6 @@ impl OpPointCache {
         self.len() == 0
     }
 
-    /// The memoization key of one operating point.
-    fn key(config: &SimConfig, mc: &MonteCarloConfig) -> String {
-        let mut sc = Scenario::from_config(config);
-        sc.samples = mc.samples;
-        sc.seed = mc.base_seed;
-        sc.to_json_string()
-    }
-
     /// [`run_all`], memoized per operating point. Results are ordered by
     /// seed and shared behind an `Arc`; the first caller of a point
     /// computes (with its own `mc.threads` setting — which cannot change
@@ -354,12 +361,14 @@ impl OpPointCache {
             return Arc::new(run_all(config, mc));
         }
         coopckpt_obs::count(coopckpt_obs::Counter::OpCacheLookups, 1);
+        let key = op_point_key(config, mc);
         let slot = {
-            // `key` panics on a non-finite field while this lock is held,
-            // before the map is touched; recovering the intact map keeps
-            // one bad config from failing every later lookup.
+            // The key is built before this lock, so a non-finite field
+            // panics with no lock held; under it a lookup only inserts an
+            // empty slot. The map is valid after every step, so a poisoned
+            // guard is still safe to recover.
             let mut map = self.map.lock().unwrap_or_else(PoisonError::into_inner);
-            map.entry(Self::key(config, mc)).or_default().clone()
+            map.entry(key).or_default().clone()
         };
         let mut computed = false;
         let results = slot
@@ -380,13 +389,227 @@ impl OpPointCache {
     }
 }
 
+/// Two 64-bit `DefaultHasher` lanes fed the same field stream; the second
+/// starts from one extra byte, so the lanes hash different inputs.
+struct Digest([DefaultHasher; 2]);
+
+impl Digest {
+    fn new() -> Digest {
+        let mut second = DefaultHasher::new();
+        second.write_u8(1);
+        Digest([DefaultHasher::new(), second])
+    }
+
+    fn int(&mut self, x: u64) {
+        for lane in &mut self.0 {
+            lane.write_u64(x);
+        }
+    }
+
+    fn text(&mut self, s: &str) {
+        for lane in &mut self.0 {
+            s.hash(lane);
+        }
+    }
+
+    /// A field the scenario writer emits as a JSON number: non-finite
+    /// values panic, as the writer does.
+    fn num(&mut self, x: f64) {
+        assert!(x.is_finite(), "JSON cannot represent {x}");
+        self.int(x.to_bits());
+    }
+
+    /// A float the scenario writer spells inside a spec string (a fixed
+    /// period, a degradation exponent, a Weibull shape). That text never
+    /// rejected a non-finite value and spells every NaN `NaN`, so NaNs
+    /// fold to one pattern.
+    fn spec_num(&mut self, x: f64) {
+        self.int(if x.is_nan() { f64::NAN } else { x }.to_bits());
+    }
+
+    fn finish(&self) -> u128 {
+        (u128::from(self.0[0].finish()) << 64) | u128::from(self.0[1].finish())
+    }
+}
+
+/// The [`OpPointCache`] key: a digest of the fields the canonical
+/// scenario of `config` holds, plus `mc`'s sample count and base seed.
+/// Every struct is destructured in full, so a field added later does not
+/// compile here until someone decides how it is keyed.
+fn op_point_key(config: &SimConfig, mc: &MonteCarloConfig) -> u128 {
+    let SimConfig {
+        platform,
+        classes,
+        strategy,
+        span,
+        measure_margin,
+        interference,
+        failures,
+        regular_io_chunks,
+        workload_slack,
+        tiers,
+        failure_classes,
+        // Trace-recording runs bypass the cache before keying.
+        record_trace: _,
+        power,
+        workload_source,
+    } = config;
+    let MonteCarloConfig {
+        samples,
+        base_seed,
+        threads: _,
+    } = mc;
+    let mut d = Digest::new();
+
+    let Platform {
+        name,
+        nodes,
+        cores_per_node,
+        mem_per_node,
+        pfs_bandwidth,
+        node_mtbf,
+    } = platform;
+    d.text(name);
+    d.int(*nodes as u64);
+    d.int(*cores_per_node as u64);
+    d.num(mem_per_node.as_bytes());
+    d.num(pfs_bandwidth.as_bytes_per_sec());
+    d.num(node_mtbf.as_secs());
+
+    match workload_source {
+        // A trace config is keyed by its spec: its classes are the scan
+        // of that spec at this span.
+        Some(spec) => {
+            d.int(1);
+            d.text(spec);
+        }
+        None => {
+            d.int(0);
+            d.int(classes.len() as u64);
+            for class in classes {
+                let AppClass {
+                    name,
+                    q_nodes,
+                    walltime,
+                    resource_share,
+                    input_bytes,
+                    output_bytes,
+                    ckpt_bytes,
+                    regular_io_bytes,
+                } = class;
+                d.text(name);
+                d.int(*q_nodes as u64);
+                d.num(walltime.as_secs());
+                d.num(*resource_share);
+                d.num(input_bytes.as_bytes());
+                d.num(output_bytes.as_bytes());
+                d.num(ckpt_bytes.as_bytes());
+                d.num(regular_io_bytes.as_bytes());
+            }
+        }
+    }
+
+    let Strategy { discipline, policy } = strategy;
+    d.int(*discipline as u64);
+    match policy {
+        CheckpointPolicy::Fixed(period) => {
+            d.int(0);
+            d.spec_num(period.as_secs());
+        }
+        CheckpointPolicy::Daly => d.int(1),
+        CheckpointPolicy::DalyUsage => d.int(2),
+    }
+
+    d.num(span.as_secs());
+    d.num(measure_margin.as_secs());
+    match interference {
+        InterferenceKind::Linear => d.int(0),
+        InterferenceKind::Degraded(alpha) => {
+            d.int(1);
+            d.spec_num(*alpha);
+        }
+        InterferenceKind::Equal => d.int(2),
+    }
+    match failures {
+        FailureModel::Exponential => d.int(0),
+        FailureModel::Weibull(shape) => {
+            d.int(1);
+            d.spec_num(*shape);
+        }
+        FailureModel::None => d.int(2),
+    }
+    d.int(*regular_io_chunks as u64);
+    d.num(*workload_slack);
+
+    d.int(tiers.len() as u64);
+    for tier in tiers {
+        let TierSpec {
+            name,
+            capacity,
+            write_bw,
+            per_writer_node,
+        } = tier;
+        d.text(name);
+        d.num(capacity.as_bytes());
+        d.num(write_bw.as_bytes_per_sec());
+        d.int(u64::from(*per_writer_node));
+    }
+    d.int(failure_classes.len() as u64);
+    for class in failure_classes {
+        let FailureClass {
+            name,
+            share,
+            severity,
+        } = class;
+        d.text(name);
+        d.num(*share);
+        d.int(*severity as u64);
+    }
+    match power {
+        None => d.int(0),
+        Some(PowerModel {
+            idle_w,
+            compute_w,
+            io_w,
+            ckpt_w,
+            recovery_w,
+            down_w,
+            pfs_static_w,
+            pfs_active_w,
+            tier_static_w,
+            tier_active_w,
+        }) => {
+            d.int(1);
+            for draw in [
+                idle_w,
+                compute_w,
+                io_w,
+                ckpt_w,
+                recovery_w,
+                down_w,
+                pfs_static_w,
+                pfs_active_w,
+                tier_static_w,
+                tier_active_w,
+            ] {
+                d.num(*draw);
+            }
+        }
+    }
+
+    d.int(*samples as u64);
+    d.int(*base_seed);
+    d.finish()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::sim::InterferenceKind;
-    use crate::strategy::Strategy;
+    use crate::axis::{AxisValue, Domain, AXES};
+    use crate::scenario::Scenario;
     use coopckpt_des::Duration;
-    use coopckpt_model::{AppClass, Bandwidth, Bytes, Platform};
+    use coopckpt_model::{Bandwidth, Bytes};
+    use std::collections::HashSet;
 
     fn config() -> SimConfig {
         let platform = Platform::new(
@@ -502,7 +725,8 @@ mod tests {
 
     #[test]
     fn a_key_that_panics_leaves_the_cache_usable() {
-        // A NaN field panics while the key is built under the map lock.
+        // A NaN field panics while the key is built, before the map lock
+        // is taken.
         let mut bad = config();
         bad.workload_slack = f64::NAN;
         let cache = OpPointCache::new();
@@ -511,6 +735,103 @@ mod tests {
         assert!(outcome.is_err(), "a non-finite key must panic");
         assert_eq!(cache.run_all(&config(), &mc).len(), 1);
         assert_eq!(cache.len(), 1);
+    }
+
+    /// The key before the field digest: the pretty-printed canonical
+    /// scenario of the config, with the sample count and seed.
+    fn text_key(config: &SimConfig, mc: &MonteCarloConfig) -> String {
+        let mut sc = Scenario::from_config(config);
+        sc.samples = mc.samples;
+        sc.seed = mc.base_seed;
+        sc.to_json_string()
+    }
+
+    /// Two values in each axis domain, so every axis moves off the base.
+    fn axis_values(domain: Domain) -> Vec<AxisValue> {
+        let nums = |xs: [f64; 2]| xs.map(AxisValue::Num).to_vec();
+        match domain {
+            Domain::Strategy => ["least-waste", "ordered-fixed:0.5h"]
+                .map(|s| AxisValue::Strategy(s.parse().unwrap()))
+                .to_vec(),
+            Domain::Workload => ["apex", "synthetic:jobs=30,seed=3,projects=2,max_nodes=8"]
+                .map(|w| AxisValue::Workload(w.to_string()))
+                .to_vec(),
+            Domain::Positive => nums([0.7, 2.0]),
+            Domain::Share => nums([0.0, 0.5]),
+            Domain::Fraction => nums([0.25, 1.0]),
+            Domain::TierDepth => nums([0.0, 3.0]),
+            Domain::Count => nums([1.0, 3.0]),
+            Domain::Seed => nums([1.0, 7.0]),
+        }
+    }
+
+    #[test]
+    fn the_digest_splits_configs_exactly_as_the_canonical_text_did() {
+        let mut roster = Strategy::all_seven().to_vec();
+        roster.push(Strategy::tiered(CheckpointPolicy::Daly));
+        // Knobs no axis moves, one at a time on top of the base.
+        let extras = [
+            r#""interference": "degraded:0.5""#,
+            r#""measure_margin_days": 0.5"#,
+            r#""regular_io_chunks": 4"#,
+            r#""workload_slack": 2"#,
+            r#""power": "prospective""#,
+        ];
+        let mut scenarios = Vec::new();
+        for preset in ["cielo", "prospective", "exascale"] {
+            for &strategy in &roster {
+                let base = format!(r#""platform": "{preset}", "span_days": 2"#);
+                let parse = |doc: &str| {
+                    let sc = Scenario::parse(&format!("{{{doc}}}")).unwrap();
+                    sc.with_strategy(strategy)
+                };
+                for extra in extras {
+                    scenarios.push(parse(&format!("{base}, {extra}")));
+                }
+                let base = parse(&base);
+                for axis in AXES {
+                    for value in axis_values(axis.domain) {
+                        scenarios.push(axis.apply(base.clone(), &value).unwrap());
+                    }
+                }
+            }
+        }
+        let mut configs: Vec<SimConfig> = scenarios
+            .iter()
+            .map(|sc| sc.into_config().unwrap())
+            .collect();
+        // Fields no scenario axis moves: the platform name, and the shape
+        // table of a trace config (keyed by its spec alone).
+        let mut renamed = configs[0].clone();
+        renamed.platform.name.push('2');
+        let trace = configs.iter().find(|c| c.workload_source.is_some());
+        let mut reshaped = trace.expect("a trace config").clone();
+        reshaped.classes[0].q_nodes += 1;
+        configs.extend([renamed, reshaped]);
+
+        let mut by_text: HashMap<String, u128> = HashMap::new();
+        let mut by_digest: HashMap<u128, String> = HashMap::new();
+        let mut keyed = 0;
+        for config in &configs {
+            for mc in [
+                MonteCarloConfig::new(1),
+                MonteCarloConfig::new(4).with_base_seed(9),
+                MonteCarloConfig::new(4).with_base_seed(9).with_threads(3),
+            ] {
+                let (text, digest) = (text_key(config, &mc), op_point_key(config, &mc));
+                keyed += 1;
+                let seen = by_text.entry(text.clone()).or_insert(digest);
+                assert_eq!(*seen, digest, "one text, two digests:\n{text}");
+                let seen = by_digest.entry(digest).or_insert_with(|| text.clone());
+                assert_eq!(*seen, text, "one digest, two texts");
+            }
+        }
+        // Both directions were exercised: many distinct points, and many
+        // keyings that landed on a point already seen.
+        let distinct: HashSet<u128> = by_text.values().copied().collect();
+        assert_eq!(distinct.len(), by_text.len());
+        assert!(by_text.len() > 500, "{} distinct points", by_text.len());
+        assert!(keyed > 2 * by_text.len(), "{keyed} keyings");
     }
 
     /// Runs `f` on its own thread and returns the message it panicked
