@@ -330,10 +330,19 @@ impl Suite {
 
 // ----- content-addressed result cache -----------------------------------
 
-/// Salt folded into every [`cache_key`]. Bump the version tag whenever a
-/// change alters simulation results or report formatting without touching
-/// the scenario schema, so stale caches miss instead of lying.
+/// Salt folded into every [`cache_key`]: it names the key and entry
+/// format. Entries written by other code are told apart by the source
+/// fingerprint each one stores as `code` (see [`ResultCache`]), not by
+/// this salt.
 pub const CACHE_SALT: &str = concat!("coopckpt-campaign-v1:", env!("CARGO_PKG_VERSION"));
+
+/// The sources this binary was built from: FNV-1a over the sorted paths
+/// and bytes of every `.rs` and `.toml` file under `crates/` (computed by
+/// `crates/core/build.rs`; perfbench stamps the same value as `source`).
+/// [`ResultCache`] stores it in each entry as `code` and serves only
+/// entries whose `code` matches, so a cache never answers for the code
+/// that wrote it once that code has changed.
+const CODE_FINGERPRINT: &str = env!("COOPCKPT_SOURCE_FNV");
 
 fn fnv1a64(bytes: &[u8], offset_basis: u64) -> u64 {
     let mut h = offset_basis;
@@ -397,11 +406,13 @@ struct CachedResult {
 }
 
 /// A directory of content-addressed campaign results (`<key>.json`, one
-/// per operating point). Corrupt, truncated or salt-mismatched entries
-/// read as misses and are recomputed, as does an entry whose job-log
-/// fingerprint (`trace_fnv`) is missing or no longer matches the log's
-/// bytes; writes go through a temp file + rename so a crashed run never
-/// leaves a half-written entry behind.
+/// per operating point). Corrupt or truncated entries, and entries with
+/// another salt or written by other code (a `code` field missing or
+/// different from this build's source fingerprint), read as misses and are
+/// recomputed, as does an entry whose job-log fingerprint (`trace_fnv`)
+/// is missing or no longer matches the log's bytes; writes go through a
+/// temp file + rename so a crashed run never leaves a half-written entry
+/// behind.
 #[derive(Debug)]
 pub struct ResultCache {
     dir: PathBuf,
@@ -424,13 +435,19 @@ impl ResultCache {
         self.dir.join(format!("{key}.json"))
     }
 
+    /// Whether an entry document could be served under `key` by this
+    /// binary: same salt, same code, and a `key` field naming it.
+    fn current(v: &Json, key: &str) -> bool {
+        let field = |name| v.get(name).and_then(Json::as_str);
+        field("salt") == Some(CACHE_SALT)
+            && field("code") == Some(CODE_FINGERPRINT)
+            && field("key") == Some(key)
+    }
+
     fn load(&self, key: &str, trace_fnv: Option<&str>) -> Option<CachedResult> {
         let text = std::fs::read_to_string(self.entry_path(key)).ok()?;
         let v = Json::parse(&text).ok()?;
-        if v.get("salt").and_then(Json::as_str) != Some(CACHE_SALT)
-            || v.get("key").and_then(Json::as_str) != Some(key)
-            || v.get("trace_fnv").and_then(Json::as_str) != trace_fnv
-        {
+        if !Self::current(&v, key) || v.get("trace_fnv").and_then(Json::as_str) != trace_fnv {
             return None;
         }
         Some(CachedResult {
@@ -441,12 +458,12 @@ impl ResultCache {
     }
 
     /// Evicts every entry the running binary can never hit: files whose
-    /// embedded salt differs from [`CACHE_SALT`] (older versions keyed
-    /// and salted differently, so they read as misses forever), whose
-    /// `key` field disagrees with the file name, or that fail to parse
-    /// at all — plus any `.tmp` leftovers from crashed writers. Files
-    /// without a `.json` extension are foreign and left untouched.
-    /// Returns `(kept, evicted)` counts.
+    /// embedded salt differs from [`CACHE_SALT`], whose `code` is missing
+    /// or differs from this build's (other code wrote them, so they read
+    /// as misses forever), whose `key` field disagrees with the file
+    /// name, or that fail to parse at all — plus any `.tmp` leftovers
+    /// from crashed writers. Files without a `.json` extension are
+    /// foreign and left untouched. Returns `(kept, evicted)` counts.
     pub fn gc(&self) -> Result<(usize, usize), CampaignError> {
         let mut kept = 0usize;
         let mut evicted = 0usize;
@@ -475,10 +492,7 @@ impl ResultCache {
             let live = std::fs::read_to_string(&path)
                 .ok()
                 .and_then(|text| Json::parse(&text).ok())
-                .is_some_and(|v| {
-                    v.get("salt").and_then(Json::as_str) == Some(CACHE_SALT)
-                        && v.get("key").and_then(Json::as_str) == Some(key)
-                });
+                .is_some_and(|v| Self::current(&v, key));
             if live {
                 kept += 1;
             } else {
@@ -495,7 +509,10 @@ impl ResultCache {
         trace_fnv: Option<&str>,
         entry: &CampaignEntry,
     ) -> Result<(), CampaignError> {
-        let mut fields = vec![("salt", Json::str(CACHE_SALT))];
+        let mut fields = vec![
+            ("salt", Json::str(CACHE_SALT)),
+            ("code", Json::str(CODE_FINGERPRINT)),
+        ];
         fields.extend(trace_fnv.map(|fp| ("trace_fnv", Json::str(fp))));
         fields.extend([
             ("key", Json::str(key)),
@@ -1120,6 +1137,36 @@ mod tests {
         assert!(dir.join("README.txt").exists());
         // A second pass finds nothing left to evict.
         assert_eq!(cache.gc().unwrap(), (1, 0));
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn entries_written_by_other_code_miss_and_gc_evicts_them() {
+        let dir = temp_dir("code");
+        let cache = ResultCache::new(&dir).unwrap();
+        cache.store("aaaa", None, &entry("aaaa")).unwrap();
+        assert!(cache.load("aaaa", None).is_some());
+        // One entry from other code, one from code that recorded none,
+        // and the same document from this code, which must hit.
+        for (key, code, hits) in [
+            ("bbbb", Some("stale"), false),
+            ("cccc", None, false),
+            ("dddd", Some(CODE_FINGERPRINT), true),
+        ] {
+            let mut fields = vec![("salt", Json::str(CACHE_SALT))];
+            fields.extend(code.map(|c| ("code", Json::str(c))));
+            fields.extend([
+                ("key", Json::str(key)),
+                ("report", Json::obj([("sections", Json::Arr(Vec::new()))])),
+                ("text", Json::str("t")),
+                ("csv", Json::str("c")),
+            ]);
+            std::fs::write(dir.join(format!("{key}.json")), Json::obj(fields).pretty()).unwrap();
+            assert_eq!(cache.load(key, None).is_some(), hits, "{key}");
+        }
+        assert_eq!(cache.gc().unwrap(), (2, 2));
+        assert!(dir.join("aaaa.json").exists() && dir.join("dddd.json").exists());
+        assert!(!dir.join("bbbb.json").exists() && !dir.join("cccc.json").exists());
         let _ = std::fs::remove_dir_all(&dir);
     }
 
